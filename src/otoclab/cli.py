@@ -10,11 +10,17 @@ rates, so any output file can be regenerated bit-for-bit from its sidecar.
 Seeding: the master seed is split into per-task substreams with
 ``np.random.SeedSequence(seed, spawn_key=(task_index,))`` so parallel and
 serial execution produce identical results.
+
+Threads: each of the ``threads`` rate-scan worker processes caps its
+OpenBLAS to ``cpus // threads`` threads, so the workers do not oversubscribe
+the CPUs; the calling process keeps its own thread count.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -293,6 +299,55 @@ def _rate_point(args):
     }
 
 
+def _openblas_symbol(kind):
+    """The ``openblas_{kind}_num_threads`` function of the OpenBLAS that
+    numpy loaded, or None where it cannot be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{kind}_num_threads64_", f"openblas_{kind}_num_threads"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
+def blas_threads():
+    """Current OpenBLAS thread count of this process, or None."""
+    getter = _openblas_symbol("get")
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+def _cap_blas_threads(count):
+    setter = _openblas_symbol("set")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(count)
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def scan_pool(threads):
+    """Process pool of ``threads`` workers, each capped to its share of the
+    CPUs in BLAS threads."""
+    return ProcessPoolExecutor(
+        max_workers=threads,
+        initializer=_cap_blas_threads,
+        initargs=(max(1, _cpu_count() // threads),),
+    )
+
+
 def _run_rate_scan(cfg):
     if not cfg.b_list:
         raise ConfigError("rate_scan needs b_list (field 'b_list', comma separated)")
@@ -300,7 +355,7 @@ def _run_rate_scan(cfg):
         (dataclasses.asdict(cfg), float(b), i) for i, b in enumerate(cfg.b_list)
     ]
     if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with scan_pool(cfg.threads) as pool:
             points = list(pool.map(_rate_point, jobs))
     else:
         points = [_rate_point(j) for j in jobs]
@@ -452,9 +507,13 @@ def compare(record_a, record_b, tolerances=None, default_tol=0.0):
         if a.dtype.kind not in "fiu" or b.dtype.kind not in "fiu":
             dev = 0.0 if list(a) == list(b) else float("inf")
         else:
+            # equal entries, NaN against NaN included, deviate by zero
+            same = (a == b) | (np.isnan(a) & np.isnan(b))
             scale = np.maximum(np.abs(a), np.abs(b))
             scale[scale == 0] = 1.0
-            dev = float(np.max(np.abs(a - b) / scale)) if a.size else 0.0
+            with np.errstate(invalid="ignore"):
+                rel = np.where(same, 0.0, np.abs(a - b) / scale)
+            dev = float(np.nan_to_num(rel, nan=np.inf).max()) if a.size else 0.0
         tol = tolerances.get(name, default_tol)
         ok = dev <= tol
         report["columns"][name] = {"max_rel_dev": dev, "tol": tol, "passed": ok}
@@ -494,8 +553,9 @@ def main(argv=None):
     try:
         config = load_config(args.config, overrides)
         record = run(config)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, FloatingPointError, RuntimeError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
     print(f"wrote {record.files[0]}")
     return 0

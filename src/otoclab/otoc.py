@@ -23,6 +23,12 @@ _J0_FIRST_ZERO = 2.404825557695773
 # dense path (exact traces, double precision).
 DENSE_NOISE_FLOOR = 1e-10
 
+# C(t) at or below this multiple of C_inf is roundoff, not growth.
+LYAPUNOV_FLOOR = 1e-12
+
+# Largest relative drift of ||A(t)||_F that a unitary kick may show.
+NORM_DRIFT_TOL = 1e-10
+
 
 @dataclass
 class OtocSeries:
@@ -99,15 +105,15 @@ def ehrenfest_time(N, K):
 
 
 def heisenberg_step(A, F):
-    """One Heisenberg kick: A -> U^dag A U through the propagator structure."""
+    """One Heisenberg kick: A -> U^dag A U through the propagator structure.
+
+    The kick preserves Hermiticity exactly, so the result is not symmetrized;
+    the role check of :class:`OperatorMatrix` verifies it instead.
+    """
     if A.dim != F.N**2:
         raise ValueError(f"operator dimension {A.dim} != N^2 = {F.N ** 2}")
     check_budget(A.dim)
-    out = _heisenberg_step_raw(A.entries, F)
-    if A.role == "hermitian":
-        # conjugation is exactly Hermiticity-preserving; discard roundoff
-        out = (out + out.conj().T) / 2
-    return OperatorMatrix(out, role=A.role)
+    return OperatorMatrix(_heisenberg_step_raw(A.entries, F), role=A.role)
 
 
 def _heisenberg_step_raw(A, F):
@@ -115,16 +121,34 @@ def _heisenberg_step_raw(A, F):
     return bipartite.diag_conjugate(F.Ub_diag, out)
 
 
-def _embedded_square(op):
-    side, m = op.local
-    return side, m, m @ m
+def _check_norm(A, norm0, t):
+    """A unitary kick conserves ||A||_F; a drift means a non-unitary
+    propagator or lost precision, and is an error rather than noise."""
+    drift = abs(bipartite.frobenius_norm(A) / norm0 - 1.0)
+    if drift > NORM_DRIFT_TOL:
+        raise FloatingPointError(
+            f"||A(t)||_F drifted by {drift:.2e} relative at t={t}; "
+            "the propagator is not unitary to working precision"
+        )
 
 
-def _c2_c4(A, B_side, B_loc, B_loc_sq):
+def _hermitian_embedded(A0, B0):
+    """Local factor (side, matrix) of B0, after checking that both
+    observables are Hermitian, as the trace identities of :func:`_c2_c4`
+    require."""
+    if A0.role != "hermitian" or B0.role != "hermitian":
+        raise ValueError("the dense OTOC traces need Hermitian observables")
+    if B0.local is None:
+        raise ValueError("B0 must be an embedded subsystem observable")
+    return B0.local
+
+
+def _c2_c4(A, B_side, B_loc):
+    """C2 = Tr[A^2 B^2] = ||AB||_F^2 and C4 = Tr[A BAB] for Hermitian A, B."""
     ab = bipartite.right_multiply_embedded(A, B_loc, B_side)
-    ab2 = bipartite.right_multiply_embedded(A, B_loc_sq, B_side)
-    c2 = bipartite.trace_product(A, ab2)
-    c4 = bipartite.trace_product(ab, ab)
+    bab = bipartite.left_multiply_embedded(B_loc, ab, B_side)
+    c2 = bipartite.trace_product(ab, ab)
+    c4 = bipartite.trace_product(A, bab)
     for name, val in (("C2", c2), ("C4", c4)):
         if abs(val.imag) > 1e-10 * max(abs(val.real), 1.0):
             raise FloatingPointError(f"{name} has a non-negligible imaginary part")
@@ -132,29 +156,27 @@ def _c2_c4(A, B_side, B_loc, B_loc_sq):
 
 
 def otoc_series_dense(F, A0, B0, T, meta=None):
-    """Exact-trace OTOC series for embedded observables A0, B0.
+    """Exact-trace OTOC series for Hermitian embedded observables A0, B0.
 
-    Both observables must come from :func:`otoclab.operators.embed` so the
-    trace evaluations can use their local factors.
+    B0 must come from :func:`otoclab.operators.embed` so the trace
+    evaluations can use its local factor.  Every kick checks that ||A(t)||_F
+    stays at ||A0||_F.
     """
     N = F.N
     check_budget(N**2)
     if A0.dim != N**2 or B0.dim != N**2:
         raise ValueError("observables must live on the product space")
-    if B0.local is None:
-        raise ValueError("B0 must be an embedded subsystem observable")
-    b_side, b_loc, b_loc_sq = _embedded_square(B0)
-    # C_inf = Tr(O1^2) Tr(O2^2) = Tr(A0^2) Tr(B0^2) / N^2 for embeddings
-    c_inf = (
-        np.sum(np.abs(A0.entries) ** 2) * np.sum(np.abs(B0.entries) ** 2) / N**2
-    )
-    A = A0.entries.copy()
+    b_side, b_loc = _hermitian_embedded(A0, B0)
+    A = A0.entries
+    norm0 = bipartite.frobenius_norm(A)
+    # C_inf = Tr(O1^2) Tr(O2^2) = Tr(A0^2) Tr(B0^2) / N^2, Tr(B0^2) = N Tr(O2^2)
+    c_inf = norm0**2 * np.sum(np.abs(b_loc) ** 2) / N
     c2s, c4s = [], []
     for t in range(T + 1):
         if t > 0:
             A = _heisenberg_step_raw(A, F)
-            A = (A + A.conj().T) / 2
-        c2, c4 = _c2_c4(A, b_side, b_loc, b_loc_sq)
+            _check_norm(A, norm0, t)
+        c2, c4 = _c2_c4(A, b_side, b_loc)
         c2s.append(c2)
         c4s.append(c4)
     info = {"params": F.params, "path": "dense"}
@@ -253,16 +275,19 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
 
 
 def default_lyapunov_window(series):
-    """First three kicks with strictly positive C(t): the growth segment.
+    """First three kicks from the first C(t) above the roundoff floor.
 
-    C(0) = 0 for disjoint observables, and C(1) = 0 exactly when both
-    observables are diagonal in the interaction basis, so the window starts
-    at the first informative point.
+    C(0) = 0 for disjoint observables, and C(1) is zero up to roundoff when
+    both observables are diagonal in the interaction basis.  Only points
+    above LYAPUNOV_FLOOR * C_inf count, so the sign of that roundoff cannot
+    move the window.
     """
     c = series.c
-    pos = np.flatnonzero((series.times > 0) & (c > 0))
+    pos = np.flatnonzero(
+        (series.times > 0) & (c > LYAPUNOV_FLOOR * series.c_infinity)
+    )
     if len(pos) < 3:
-        raise ValueError("series has fewer than three positive points")
+        raise ValueError("series has fewer than three points above the roundoff floor")
     t0 = series.times[pos[0]]
     return (int(t0), int(t0) + 2)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bipartite
 from .operators import check_budget, embed
-from .otoc import OtocSeries, _c2_c4, _embedded_square
+from .otoc import OtocSeries, _c2_c4, _check_norm, _hermitian_embedded
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ def rmt_otoc_mc(spec, O1, O2, meta=None):
     check_budget(N**2)
     A0 = embed(O1, "left", N)
     B0 = embed(O2, "right", N)
-    b_side, b_loc, b_loc_sq = _embedded_square(B0)
+    b_side, b_loc = _hermitian_embedded(A0, B0)
+    norm0 = bipartite.frobenius_norm(A0.entries)
     c_inf = float(
         np.sum(np.abs(O1.entries) ** 2) * np.sum(np.abs(O2.entries) ** 2)
     )
@@ -101,15 +102,16 @@ def rmt_otoc_mc(spec, O1, O2, meta=None):
     for s in range(spec.samples):
         # per-sample substream: results are independent of execution order
         rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed, spawn_key=(s,)))
-        A = A0.entries.copy()
-        c2[s, 0], c4[s, 0] = _c2_c4(A, b_side, b_loc, b_loc_sq)
+        A = A0.entries
+        c2[s, 0], c4[s, 0] = _c2_c4(A, b_side, b_loc)
         for t in range(1, spec.T + 1):
             f1 = sample_cue(N, rng)
             f2 = sample_cue(N, rng)
             u = sample_interaction(N, spec.epsilon, rng)
             A = bipartite.kron_conjugate(f1, f2, A)
             A = bipartite.diag_conjugate(u, A)
-            c2[s, t], c4[s, t] = _c2_c4(A, b_side, b_loc, b_loc_sq)
+            _check_norm(A, norm0, t)
+            c2[s, t], c4[s, t] = _c2_c4(A, b_side, b_loc)
 
     sqrt_s = np.sqrt(spec.samples)
     info = {"scenario": "rmt", "spec": spec, "path": "rmt_mc"}

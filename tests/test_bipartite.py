@@ -82,11 +82,25 @@ class TestRightMultiplyEmbedded:
         assert np.allclose(got, A @ big)
 
 
+class TestLeftMultiplyEmbedded:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @given(n=st.integers(2, 5), seed=st.integers(0, 1000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_kron(self, side, n, seed):
+        rng = np.random.default_rng(seed)
+        X = _random_complex(rng, n * n, n * n)
+        M = _random_complex(rng, n, n)
+        eye = np.eye(n)
+        big = np.kron(M, eye) if side == "left" else np.kron(eye, M)
+        got = bipartite.left_multiply_embedded(M, X, side)
+        assert np.allclose(got, big @ X)
+
+
 def test_trace_product():
     rng = np.random.default_rng(4)
     A = _random_complex(rng, 6, 6)
     B = _random_complex(rng, 6, 6)
-    assert np.isclose(bipartite.trace_product(A, B), np.trace(A @ B))
+    assert np.isclose(bipartite.trace_product(A, B), np.trace(A.conj().T @ B))
 
 
 def test_partial_trace_first():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,13 +8,19 @@ from otoclab.cli import (
     ConfigError,
     ExperimentConfig,
     ResultRecord,
+    _cap_blas_threads,
+    blas_threads,
     compare,
     compare_with_stderr,
     load_config,
     main,
     run,
+    scan_pool,
     write_csv,
 )
+from otoclab.kicked_rotor import coupled_floquet
+from otoclab.operators import SystemParams, cosine_observable, embed
+from otoclab.otoc import otoc_series_dense
 
 
 class TestLoadConfig:
@@ -123,6 +130,43 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="b_list"):
             run(cfg, out_dir=tmp_path)
 
+    def test_rate_scan_pool_matches_serial(self, tmp_path):
+        # b = 0 gives eps = 0 and so a NaN mu_rmt row
+        sets = ["scenario=rate_scan", "N=16", "T=12", "b_list=0.0,0.0625,0.125"]
+        serial = run(load_config(None, sets + ["threads=1"]), out_dir=tmp_path / "serial")
+        pooled = run(load_config(None, sets + ["threads=2"]), out_dir=tmp_path / "pooled")
+        assert np.isnan(serial.columns["mu_rmt"][0])
+        with open(serial.files[0], "rb") as a, open(pooled.files[0], "rb") as b:
+            assert a.read() == b.read()
+        assert compare(serial, pooled)["passed"]
+
+    def test_rate_scan_workers_cap_blas_threads(self):
+        if blas_threads() is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        cap = max(1, len(os.sched_getaffinity(0)) // 2)
+        with scan_pool(2) as pool:
+            assert pool.submit(blas_threads).result() == cap
+
+    def test_dense_series_independent_of_blas_threads(self):
+        # serial and pooled scans agree only if no kernel's value depends
+        # on how many threads BLAS splits it over
+        default = blas_threads()
+        if default is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        N = 24
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=1 / N))
+        o = cosine_observable(N, 0.35)
+        a0, b0 = embed(o, "left", N), embed(o, "right", N)
+        threaded = otoc_series_dense(F, a0, b0, 3)
+        try:
+            _cap_blas_threads(1)
+            single = otoc_series_dense(F, a0, b0, 3)
+        finally:
+            _cap_blas_threads(default)
+        assert np.array_equal(threaded.c2, single.c2)
+        assert np.array_equal(threaded.c4, single.c4)
+        assert threaded.c_infinity == single.c_infinity
+
     def test_husimi_scenario(self, tmp_path):
         cfg = load_config(
             overrides=["scenario=husimi", "N=8", "husimi_times=0,2"]
@@ -150,6 +194,15 @@ class TestCompare:
         a = _record({"t": [0, 1], "c": [0.5, 1.0]})
         report = compare(a, a)
         assert report["passed"]
+
+    def test_nan_in_the_same_place_is_equal(self):
+        # rate_scan writes NaN mu_rmt where eps(b) lies outside (0, 1)
+        a = _record({"b": [0.0, 0.0625], "mu_rmt": [float("nan"), 0.1]})
+        report = compare(a, a)
+        assert report["passed"]
+        assert report["columns"]["mu_rmt"]["max_rel_dev"] == 0.0
+        b = _record({"b": [0.0, 0.0625], "mu_rmt": [0.1, float("nan")]})
+        assert not compare(a, b)["passed"]
 
     def test_tolerance(self):
         a = _record({"c": [1.0]})
@@ -183,3 +236,16 @@ class TestMain:
         rc = main(["--set", "N=not_a_number"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc", [FloatingPointError("norm drifted"), RuntimeError("fit failed"), MemoryError()]
+    )
+    def test_run_failures_are_one_line(self, monkeypatch, capsys, exc):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr("otoclab.cli.run", fail)
+        assert main(["--set", "N=8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,35 @@ class TestDenseSeries:
         assert np.allclose(series.c4, c4, atol=1e-8)
 
 
+class TestKickInvariants:
+    def test_non_unitary_propagator_raises(self, small_system):
+        from otoclab.operators import OperatorMatrix
+
+        F, A0, B0 = small_system
+        leaky = dataclasses.replace(
+            F, U1=OperatorMatrix(1.000001 * F.U1.entries, role="general")
+        )
+        with pytest.raises(FloatingPointError, match="drifted"):
+            otoc_series_dense(leaky, A0, B0, T=2)
+
+    def test_hermiticity_survives_forty_kicks(self):
+        N = 16
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
+        A = embed(gue_observable(N, 11), "left", N)
+        for _ in range(40):
+            A = heisenberg_step(A, F)
+        m = A.entries
+        assert np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max()
+
+    def test_requires_hermitian_observables(self, small_system):
+        from otoclab.operators import OperatorMatrix
+
+        F, A0, B0 = small_system
+        general = OperatorMatrix(A0.entries, role="general")
+        with pytest.raises(ValueError, match="Hermitian"):
+            otoc_series_dense(F, general, B0, T=1)
+
+
 class TestSameSubspace:
     def test_matches_brute_force(self):
         N = 4
@@ -210,6 +241,15 @@ class TestFitWindows:
         series = _synthetic_series(
             np.arange(7), [0, 0, 1e-6, 1e-4, 1e-2, 0.3, 0.8]
         )
+        assert default_lyapunov_window(series) == (2, 4)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_default_lyapunov_window_ignores_roundoff(self, sign):
+        # C(1) is zero up to roundoff of either sign; growth from t = 2
+        t = np.arange(7)
+        c_inf = 1024.0
+        c = np.array([0, sign * 1e-16, 1e-6, 1e-4, 1e-2, 0.3, 0.8]) * c_inf
+        series = OtocSeries(times=t, c2=c, c4=np.zeros_like(c), c_infinity=c_inf)
         assert default_lyapunov_window(series) == (2, 4)
 
     def test_lyapunov_fit_recovers_slope(self):
