@@ -53,9 +53,9 @@ class CoupledFloquet:
     def N(self):
         return self.params.N
 
-    def dense(self, max_dim=None):
+    def dense(self):
         """Materialize the N^2 x N^2 matrix (budget permitting)."""
-        check_budget(self.N**2, max_dim)
+        check_budget(self.N**2)
         big = np.kron(self.U1.entries, self.U2.entries) * self.Ub_diag[None, :]
         return OperatorMatrix(big, role="unitary")
 

@@ -3,32 +3,32 @@
 Everything works in the discrete position basis ``n = 0..N-1``. The momentum
 translation ``T_p`` is diagonal here, the position translation ``T_q`` is the
 cyclic shift, and the standard local observable is ``(T_p + T_p^dag)/2``,
-i.e. a diagonal cosine. Operators on the product space are built with
-:func:`embed`.
+i.e. a diagonal cosine. Product-space observables ``O x I`` and ``I x O``
+are kept as their N x N factor (:func:`embed`); only :meth:`Embedded.dense`
+builds the N^2 x N^2 matrix, for the dense path's initial A(0).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Dense matrices on the product space are allowed up to this dimension by
-# default; larger systems must go through the vector-application path.
-DEFAULT_MAX_DENSE_DIM = 2**13
+# Dense matrices on the product space are allowed up to this dimension
+# (N = 90); larger systems must use the stochastic path.
+MAX_DENSE_DIM = 2**13
 
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 
 
 class BudgetError(ValueError):
-    """Requested dense dimension exceeds the configured memory budget."""
+    """Requested dense dimension exceeds the memory budget."""
 
 
-def check_budget(dim, max_dim=None):
-    limit = DEFAULT_MAX_DENSE_DIM if max_dim is None else max_dim
-    if dim > limit:
+def check_budget(dim):
+    if dim > MAX_DENSE_DIM:
         raise BudgetError(
-            f"dense dimension {dim} exceeds budget {limit}; "
-            "use the vector-application path instead"
+            f"dense dimension {dim} exceeds budget {MAX_DENSE_DIM}; "
+            "use path=stochastic for larger systems"
         )
 
 
@@ -37,14 +37,11 @@ class OperatorMatrix:
     """Dense complex square matrix with a structural role tag.
 
     ``role`` is one of ``"unitary"``, ``"hermitian"``, ``"general"``; the
-    corresponding structure is checked at construction time.  ``local``
-    optionally records that the matrix is an embedding ``O x I`` or ``I x O``
-    as ``(side, local_entries)``; the trace routines exploit this.
+    corresponding structure is checked at construction time.
     """
 
     entries: np.ndarray
     role: str = "general"
-    local: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -134,20 +131,39 @@ def gue_observable(N, rng_seed):
     return OperatorMatrix((m + m.conj().T) / 2, role="hermitian")
 
 
-def embed(op, side, N_other, max_dim=None):
-    """Kronecker-embed a subsystem operator: O x I (left) or I x O (right).
+@dataclass(frozen=True)
+class Embedded:
+    """``op x I`` (side "left") or ``I x op`` (side "right") with an identity
+    of dimension ``n_other``, stored as the factor ``op`` alone."""
 
-    The result keeps a reference to the local factor so product-space traces
-    can avoid full N^2 x N^2 matrix products.
-    """
-    if op.dim < 2:
-        raise ValueError("operator dimension must be at least 2")
-    check_budget(op.dim * N_other, max_dim)
-    eye = np.eye(N_other)
-    if side == "left":
-        big = np.kron(op.entries, eye)
-    elif side == "right":
-        big = np.kron(eye, op.entries)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return OperatorMatrix(big, role=op.role, local=(side, op.entries))
+    side: str
+    op: OperatorMatrix
+    n_other: int
+
+    def __post_init__(self):
+        if self.op.dim < 2:
+            raise ValueError("operator dimension must be at least 2")
+        if self.side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+
+    @property
+    def role(self):
+        return self.op.role
+
+    @property
+    def dim(self):
+        return self.op.dim * self.n_other
+
+    def dense(self):
+        """The dim x dim Kronecker product, checked against the budget."""
+        check_budget(self.dim)
+        eye = np.eye(self.n_other)
+        if self.side == "left":
+            return np.kron(self.op.entries, eye)
+        return np.kron(eye, self.op.entries)
+
+
+def embed(op, side, N_other):
+    """Kronecker-embed a subsystem operator: O x I (left) or I x O (right).
+    Nothing of product-space size is built; see :meth:`Embedded.dense`."""
+    return Embedded(side, op, N_other)

@@ -4,7 +4,9 @@ C(t) = C2(t) - C4(t) with C2 = Tr[A(t)^2 B^2] and C4 = Tr[A(t) B A(t) B];
 A evolves in the Heisenberg picture, one kick per step.  The dense path keeps
 A as a full product-space matrix but conjugates through the Kronecker
 structure of the propagator, so a step costs O(N^5) instead of O(N^6).  The
-stochastic path estimates the same traces with random-phase probe vectors.
+stochastic path estimates the same traces with random-phase probe vectors
+and builds no product-space matrix.  Observables are subsystem factors from
+:func:`otoclab.operators.embed`; C_inf is :func:`saturation_value` of them.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.special import j0
 
 from . import bipartite
-from .operators import OperatorMatrix, check_budget
+from .operators import Embedded, OperatorMatrix, check_budget, embed
 
 # First zero of the Bessel function J0; mu(b) diverges there.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -132,15 +134,12 @@ def _check_norm(A, norm0, t):
         )
 
 
-def _hermitian_embedded(A0, B0):
-    """Local factor (side, matrix) of B0, after checking that both
-    observables are Hermitian, as the trace identities of :func:`_c2_c4`
-    require."""
-    if A0.role != "hermitian" or B0.role != "hermitian":
-        raise ValueError("the dense OTOC traces need Hermitian observables")
-    if B0.local is None:
-        raise ValueError("B0 must be an embedded subsystem observable")
-    return B0.local
+def _check_embedded(N, *observables):
+    for obs in observables:
+        if not isinstance(obs, Embedded):
+            raise ValueError("observables must be embedded subsystem observables")
+        if (obs.op.dim, obs.n_other) != (N, N):
+            raise ValueError("observables must live on the product space")
 
 
 def _c2_c4(A, B_side, B_loc):
@@ -156,27 +155,22 @@ def _c2_c4(A, B_side, B_loc):
 
 
 def otoc_series_dense(F, A0, B0, T, meta=None):
-    """Exact-trace OTOC series for Hermitian embedded observables A0, B0.
+    """Exact-trace OTOC series for Hermitian observables A0, B0.
 
-    B0 must come from :func:`otoclab.operators.embed` so the trace
-    evaluations can use its local factor.  Every kick checks that ||A(t)||_F
-    stays at ||A0||_F.
+    Both come from :func:`otoclab.operators.embed`.  A(0) is the one dense
+    N^2 x N^2 matrix built, within the budget; the traces use B0's local
+    factor.  Every kick checks that ||A(t)||_F stays at ||A0||_F.
     """
-    N = F.N
-    check_budget(N**2)
-    if A0.dim != N**2 or B0.dim != N**2:
-        raise ValueError("observables must live on the product space")
-    b_side, b_loc = _hermitian_embedded(A0, B0)
-    A = A0.entries
+    _check_embedded(F.N, A0, B0)
+    c_inf = saturation_value(A0.op, B0.op)
+    A = A0.dense()
     norm0 = bipartite.frobenius_norm(A)
-    # C_inf = Tr(O1^2) Tr(O2^2) = Tr(A0^2) Tr(B0^2) / N^2, Tr(B0^2) = N Tr(O2^2)
-    c_inf = norm0**2 * np.sum(np.abs(b_loc) ** 2) / N
     c2s, c4s = [], []
     for t in range(T + 1):
         if t > 0:
             A = _heisenberg_step_raw(A, F)
             _check_norm(A, norm0, t)
-        c2, c4 = _c2_c4(A, b_side, b_loc)
+        c2, c4 = _c2_c4(A, B0.side, B0.op.entries)
         c2s.append(c2)
         c4s.append(c4)
     info = {"params": F.params, "path": "dense"}
@@ -185,15 +179,13 @@ def otoc_series_dense(F, A0, B0, T, meta=None):
         times=np.arange(T + 1),
         c2=np.array(c2s),
         c4=np.array(c4s),
-        c_infinity=float(c_inf),
+        c_infinity=c_inf,
         meta=info,
     )
 
 
 def same_subspace_series(F, O1a, O1b, T, meta=None):
     """OTOC with both observables in subsystem 1: A = O1a x I, B = O1b x I."""
-    from .operators import embed
-
     info = {"scenario": "same_subspace"}
     info.update(meta or {})
     return otoc_series_dense(
@@ -205,13 +197,11 @@ def same_subspace_series(F, O1a, O1b, T, meta=None):
     )
 
 
-def _apply_embedded(op, batch):
-    if op.local is not None:
-        side, m = op.local
-        if side == "left":
-            return bipartite.apply_local(batch, U1=m)
-        return bipartite.apply_local(batch, U2=m)
-    return op.entries @ batch
+def _apply_embedded(side, m, batch):
+    """(m x I) ("left") or (I x m) ("right") on a batch of vectors."""
+    if side == "left":
+        return bipartite.apply_local(batch, U1=m)
+    return bipartite.apply_local(batch, U2=m)
 
 
 def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
@@ -219,41 +209,37 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
 
     Uses unit-modulus probe vectors z with E[z z^dag] = I, giving unbiased
     estimates of the traces; standard errors come from the probe scatter.
+    A0 and B0 come from :func:`otoclab.operators.embed` and are applied
+    through their N x N factors, so no budget applies.
     """
     if probes < 16:
         raise ValueError("need at least 16 probe vectors")
     N = F.N
-    dim = N**2
+    _check_embedded(N, A0, B0)
+    c_inf = saturation_value(A0.op, B0.op)
+    a, b = A0.op.entries, B0.op.entries
+    b_sq = b @ b
 
     from .kicked_rotor import apply_floquet
 
-    if B0.local is not None:
-        side, m = B0.local
-        B0sq = OperatorMatrix(B0.entries, role="general", local=(side, m @ m))
-    else:
-        B0sq = OperatorMatrix(B0.entries @ B0.entries, role="general")
-
-    Z = np.exp(2j * np.pi * rng.random((dim, probes)))
+    Z = np.exp(2j * np.pi * rng.random((N**2, probes)))
 
     def heisenberg_apply(batch, t):
         out = batch
         for _ in range(t):
             out = apply_floquet(F, out, "forward")
-        out = _apply_embedded(A0, out)
+        out = _apply_embedded(A0.side, a, out)
         for _ in range(t):
             out = apply_floquet(F, out, "adjoint")
         return out
 
-    c_inf = (
-        np.sum(np.abs(A0.entries) ** 2) * np.sum(np.abs(B0.entries) ** 2) / N**2
-    )
     c2_mean, c2_err, c4_mean, c4_err, c_err = [], [], [], [], []
     for t in range(T + 1):
-        y = heisenberg_apply(_apply_embedded(B0sq, Z), t)
+        y = heisenberg_apply(_apply_embedded(B0.side, b_sq, Z), t)
         y = heisenberg_apply(y, t)
         e2 = np.einsum("ip,ip->p", Z.conj(), y).real
-        y = heisenberg_apply(_apply_embedded(B0, Z), t)
-        y = heisenberg_apply(_apply_embedded(B0, y), t)
+        y = heisenberg_apply(_apply_embedded(B0.side, b, Z), t)
+        y = heisenberg_apply(_apply_embedded(B0.side, b, y), t)
         e4 = np.einsum("ip,ip->p", Z.conj(), y).real
         for vals, mean_acc, err_acc in ((e2, c2_mean, c2_err), (e4, c4_mean, c4_err)):
             mean_acc.append(vals.mean())
@@ -266,7 +252,7 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
         times=np.arange(T + 1),
         c2=np.array(c2_mean),
         c4=np.array(c4_mean),
-        c_infinity=float(c_inf),
+        c_infinity=c_inf,
         meta=info,
         c2_err=np.array(c2_err),
         c4_err=np.array(c4_err),

@@ -65,10 +65,6 @@ def coherent_frame(N, alpha=0.35):
     return CoherentFrame(N=N, alpha=alpha, states=states.reshape(N * N, N))
 
 
-def coherent_state(frame, n, m):
-    return frame.state(n, m)
-
-
 def evolve_product_state(F, q0, p0, T, frame=None):
     """States U^t (|q0,p0> x |q0,p0>) for t = 0..T, rows of the result."""
     N = F.N
@@ -77,7 +73,7 @@ def evolve_product_state(F, q0, p0, T, frame=None):
     n0 = int(round(q0 * N)) % N
     m0 = int(round(p0 * N)) % N
     coh = frame.state(n0, m0)
-    psi = np.kron(coh, coh)
+    psi = np.outer(coh, coh).ravel()
     out = np.empty((T + 1, N * N), dtype=complex)
     out[0] = psi
     for t in range(1, T + 1):
@@ -119,7 +115,8 @@ def reduced_husimi(rhoB, frame):
     N = frame.N
     if rhoB.shape != (N, N):
         raise ValueError(f"density matrix shape {rhoB.shape} does not match frame")
-    q = np.einsum("ki,ij,kj->k", frame.states.conj(), rhoB, frame.states).real
+    S = frame.states
+    q = ((S.conj() @ rhoB) * S).sum(1).real
     q = np.clip(q, 0.0, None)  # tiny negatives are round-off
     q *= N / q.sum()
     return HusimiGrid(values=q.reshape(N, N), normalization=float(N))

@@ -232,6 +232,17 @@ class TestMain:
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
 
+    def test_stochastic_path_runs_past_the_dense_budget(self, tmp_path):
+        # N^2 = 9216 exceeds the dense budget; the stochastic path needs none
+        rc = main([
+            "--scenario", "rotor_otoc", "--out", str(tmp_path),
+            "--set", "N=96", "--set", "path=stochastic",
+            "--set", "T=1", "--set", "probes=16",
+        ])
+        assert rc == 0
+        (csv,) = tmp_path.glob("*.csv")
+        assert csv.read_text().splitlines()[0] == "t,c2,c4,c,c_norm,c_err"
+
     def test_config_error(self, capsys):
         rc = main(["--set", "N=not_a_number"])
         assert rc == 1

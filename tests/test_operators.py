@@ -142,28 +142,34 @@ class TestEmbed:
         big = embed(o, "left", 5)
         assert big.dim == 20
         assert big.role == "hermitian"
-        assert np.allclose(big.entries, np.kron(o.entries, np.eye(5)))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_dense_is_kron(self, side):
+        # a 4 x 4 factor next to a 5-dimensional identity
+        o = gue_observable(4, 9)
+        eye = np.eye(5)
+        want = np.kron(o.entries, eye) if side == "left" else np.kron(eye, o.entries)
+        assert np.array_equal(embed(o, side, 5).dense(), want)
 
     def test_trace_factorization(self):
         o = gue_observable(6, 3)
-        big = embed(o, "right", 4)
+        big = embed(o, "right", 4).dense()
         t_small = np.trace(o.entries @ o.entries)
-        t_big = np.trace(big.entries @ big.entries)
+        t_big = np.trace(big @ big)
         assert abs(t_big - 4 * t_small) < 1e-9
 
     def test_identity_case(self):
         eye = OperatorMatrix(np.eye(3), role="hermitian")
         big = embed(eye, "left", 3)
-        assert np.allclose(big.entries, np.eye(9))
+        assert np.allclose(big.dense(), np.eye(9))
 
-    def test_budget(self):
+    def test_holds_only_the_factor(self):
+        # embedding is free above the dense budget; only dense() is checked
         o = cosine_observable(128, 0.0)
-        with pytest.raises(BudgetError):
-            embed(o, "left", 128)
-        small = cosine_observable(8, 0.0)
-        with pytest.raises(BudgetError):
-            embed(small, "left", 8, max_dim=32)
-        embed(small, "left", 8, max_dim=64)  # raised budget is fine
+        big = embed(o, "left", 128)
+        assert big.op is o and big.dim == 128**2
+        with pytest.raises(BudgetError, match="path=stochastic"):
+            big.dense()
 
     def test_bad_side(self):
         with pytest.raises(ValueError, match="side"):

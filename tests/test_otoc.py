@@ -1,10 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from otoclab.kicked_rotor import coupled_floquet
-from otoclab.operators import SystemParams, cosine_observable, embed, gue_observable
+from otoclab.operators import (
+    BudgetError,
+    OperatorMatrix,
+    SystemParams,
+    cosine_observable,
+    embed,
+    gue_observable,
+)
 from otoclab.otoc import (
     OtocSeries,
     default_lyapunov_window,
@@ -20,6 +28,7 @@ from otoclab.otoc import (
     same_subspace_series,
     saturation_value,
 )
+from otoclab.rmt import RmtEnsembleSpec, rmt_otoc_mc
 
 
 def _brute_force_series(F, A0, B0, T):
@@ -99,8 +108,9 @@ class TestHeisenbergStep:
     def test_matches_dense_conjugation(self, small_system):
         F, A0, _ = small_system
         U = F.dense().entries
-        got = heisenberg_step(A0, F)
-        want = U.conj().T @ A0.entries @ U
+        A = OperatorMatrix(A0.dense(), role="hermitian")
+        got = heisenberg_step(A, F)
+        want = U.conj().T @ A.entries @ U
         assert np.allclose(got.entries, want)
         assert got.role == "hermitian"
 
@@ -114,7 +124,7 @@ class TestDenseSeries:
     def test_matches_brute_force(self, small_system):
         F, A0, B0 = small_system
         series = otoc_series_dense(F, A0, B0, T=6)
-        c2, c4 = _brute_force_series(F, A0.entries, B0.entries, 6)
+        c2, c4 = _brute_force_series(F, A0.dense(), B0.dense(), 6)
         assert np.allclose(series.c2, c2, atol=1e-9)
         assert np.allclose(series.c4, c4, atol=1e-9)
 
@@ -132,10 +142,8 @@ class TestDenseSeries:
         assert series.c_infinity == pytest.approx(saturation_value(o, o))
 
     def test_requires_embedded_B(self, small_system):
-        from otoclab.operators import OperatorMatrix
-
         F, A0, B0 = small_system
-        bare = OperatorMatrix(B0.entries, role="hermitian")
+        bare = OperatorMatrix(B0.dense(), role="hermitian")
         with pytest.raises(ValueError, match="embedded"):
             otoc_series_dense(F, A0, bare, T=1)
 
@@ -146,15 +154,13 @@ class TestDenseSeries:
         A0 = embed(gue_observable(4, 7), "left", 4)
         B0 = embed(gue_observable(4, 8), "right", 4)
         series = otoc_series_dense(F, A0, B0, T=4)
-        c2, c4 = _brute_force_series(F, A0.entries, B0.entries, 4)
+        c2, c4 = _brute_force_series(F, A0.dense(), B0.dense(), 4)
         assert np.allclose(series.c2, c2, atol=1e-8)
         assert np.allclose(series.c4, c4, atol=1e-8)
 
 
 class TestKickInvariants:
     def test_non_unitary_propagator_raises(self, small_system):
-        from otoclab.operators import OperatorMatrix
-
         F, A0, B0 = small_system
         leaky = dataclasses.replace(
             F, U1=OperatorMatrix(1.000001 * F.U1.entries, role="general")
@@ -165,19 +171,43 @@ class TestKickInvariants:
     def test_hermiticity_survives_forty_kicks(self):
         N = 16
         F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
-        A = embed(gue_observable(N, 11), "left", N)
+        A = OperatorMatrix(embed(gue_observable(N, 11), "left", N).dense(), role="hermitian")
         for _ in range(40):
             A = heisenberg_step(A, F)
         m = A.entries
         assert np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max()
 
     def test_requires_hermitian_observables(self, small_system):
-        from otoclab.operators import OperatorMatrix
-
         F, A0, B0 = small_system
-        general = OperatorMatrix(A0.entries, role="general")
+        general = embed(OperatorMatrix(np.triu(np.ones((5, 5)))), "left", 5)
         with pytest.raises(ValueError, match="Hermitian"):
             otoc_series_dense(F, general, B0, T=1)
+
+
+def _dense_series_n91():
+    N = 91
+    F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=1 / N))
+    o = cosine_observable(N, 0.35)
+    otoc_series_dense(F, embed(o, "left", N), embed(o, "right", N), 1)
+
+
+def _rmt_series_n91():
+    o = cosine_observable(91, 0.35)
+    rmt_otoc_mc(RmtEnsembleSpec(N=91, epsilon=0.1, T=1, samples=1), o, o)
+
+
+class TestDenseBudget:
+    @pytest.mark.parametrize("run", [_dense_series_n91, _rmt_series_n91], ids=["dense", "rmt"])
+    def test_refused_before_allocating(self, run):
+        # N^2 = 8281 exceeds the budget; one such complex matrix is 1.1 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="path=stochastic"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSameSubspace:

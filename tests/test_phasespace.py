@@ -8,7 +8,6 @@ from otoclab.operators import SystemParams, translation_p, translation_q
 from otoclab.phasespace import (
     HusimiGrid,
     coherent_frame,
-    coherent_state,
     evolve_product_state,
     harper_ground_state,
     participation_ratio,
@@ -54,7 +53,7 @@ class TestCoherentFrame:
         tq = translation_q(N).entries
         for n, m in [(0, 0), (1, 0), (0, 1), (3, 5)]:
             want = np.linalg.matrix_power(tp, m) @ np.linalg.matrix_power(tq, n) @ g
-            assert np.allclose(coherent_state(frame8, n, m), want)
+            assert np.allclose(frame8.state(n, m), want)
 
     def test_normalized(self, frame8):
         norms = np.linalg.norm(frame8.states, axis=1)
@@ -133,6 +132,16 @@ class TestHusimi:
         grid = reduced_husimi(rho, frame8)
         assert grid.values.sum() == pytest.approx(8.0)
         assert grid.normalization == 8.0
+
+    def test_matches_coherent_expectations(self, frame8):
+        # Q(n, m) = <n,m|rho|n,m>, one state at a time, scaled to sum N
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = m @ m.conj().T
+        want = np.array([np.vdot(s, rho @ s).real for s in frame8.states])
+        want *= 8 / want.sum()
+        got = reduced_husimi(rho, frame8).values.ravel()
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
 
     def test_maximally_mixed_is_flat(self, frame8):
         grid = reduced_husimi(np.eye(8) / 8, frame8)
