@@ -1,11 +1,13 @@
 """Batch experiment runner.
 
-One invocation executes one scenario from the matrix (rotor OTOC variants,
-RMT OTOC, rate scans, classical Lyapunov, Husimi grids, participation
-ratio), with parameters resolved from defaults < config file < --set
-overrides.  Every run writes a CSV with the column data and a JSON sidecar
-echoing the fully resolved config, the fits and the analytic reference
-rates, so any output file can be regenerated bit-for-bit from its sidecar.
+One invocation executes one scenario of :data:`SCENARIOS` (rotor OTOC
+variants, RMT OTOC, rate scans, classical Lyapunov, Husimi grids,
+participation ratio), with parameters resolved from defaults < config file
+< --set overrides.  Every run writes a CSV with the column data and a JSON
+sidecar echoing the fully resolved config, the fits and the analytic
+reference rates, so any output file can be regenerated bit-for-bit from its
+sidecar.  A fit that cannot be made is recorded as ``<name>_error`` in the
+sidecar; it does not stop the run.
 
 Seeding: the master seed is split into per-task substreams with
 ``np.random.SeedSequence(seed, spawn_key=(task_index,))`` so parallel and
@@ -43,20 +45,14 @@ from .otoc import (
     otoc_series_stochastic,
     same_subspace_series,
 )
-from .phasespace import coherent_frame, partial_trace_over_first, pr_series, reduced_husimi
-from .rmt import RmtEnsembleSpec, epsilon_from_b, mu_rmt, rmt_otoc_mc
-
-SCENARIOS = (
-    "rotor_otoc",
-    "rmt_otoc",
-    "rate_scan",
-    "classical_lyapunov",
-    "husimi",
-    "pr_series",
-    "same_subspace",
-    "gue_otoc",
-    "weak_chaos",
+from .phasespace import (
+    coherent_frame,
+    evolve_product_state,
+    partial_trace_over_first,
+    pr_series,
+    reduced_husimi,
 )
+from .rmt import RmtEnsembleSpec, analytic_otoc, epsilon_from_b, mu_rmt, rmt_otoc_mc
 
 
 class ConfigError(ValueError):
@@ -185,37 +181,34 @@ def _window_or_none(cfg_window):
     return tuple(int(v) for v in cfg_window) if cfg_window else None
 
 
-def _standard_fits(series, cfg, loglog=False):
+def _try_fit(fits, name, fit):
+    """Store ``fit()`` as ``fits[name]``; if the fit cannot be made, store
+    its reason as ``fits[name + "_error"]`` so the run still writes its
+    series."""
+    try:
+        fits[name] = fit()
+    except ValueError as exc:
+        fits[f"{name}_error"] = str(exc)
+
+
+def _phase_fits(series, cfg):
     fits = {}
-    try:
-        fits["lyapunov"] = _fit_dict(
-            fit_lyapunov_phase(series, _window_or_none(cfg.lyap_window))
-        )
-    except ValueError as exc:
-        fits["lyapunov_error"] = str(exc)
-    try:
-        fits["relaxation"] = _fit_dict(
-            fit_relaxation_phase(series, _window_or_none(cfg.relax_window))
-        )
-    except ValueError as exc:
-        fits["relaxation_error"] = str(exc)
-    if loglog:
-        mask = (series.times >= 5) & (1 - series.c_norm > 0)
-        slope, intercept, stderr = linear_fit(
-            np.log(series.times[mask]), np.log(1 - series.c_norm[mask])
-        )
-        fits["loglog"] = {"slope": slope, "intercept": intercept, "slope_stderr": stderr}
+    _try_fit(fits, "lyapunov", lambda: _fit_dict(
+        fit_lyapunov_phase(series, _window_or_none(cfg.lyap_window))
+    ))
+    _try_fit(fits, "relaxation", lambda: _fit_dict(
+        fit_relaxation_phase(series, _window_or_none(cfg.relax_window))
+    ))
     return fits
 
 
-def _rotor_observables(cfg):
-    if cfg.scenario in ("gue_otoc", "weak_chaos"):
-        o1 = gue_observable(cfg.N, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-        o2 = gue_observable(cfg.N, np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
-    else:
-        o1 = cosine_observable(cfg.N, cfg.alpha)
-        o2 = cosine_observable(cfg.N, cfg.alpha)
-    return o1, o2
+def _loglog_fit(series):
+    """Power law of 1 - C/C_inf in t from t = 5 on, for weak chaos."""
+    mask = (series.times >= 5) & (1 - series.c_norm > 0)
+    slope, intercept, stderr = linear_fit(
+        np.log(series.times[mask]), np.log(1 - series.c_norm[mask])
+    )
+    return {"slope": slope, "intercept": intercept, "slope_stderr": stderr}
 
 
 def _analytic_refs(cfg):
@@ -235,52 +228,76 @@ def _analytic_refs(cfg):
             refs["mu_rmt_of_b"] = mu_rmt(eps)
     if cfg.epsilon > 0:
         refs["mu_rmt"] = mu_rmt(cfg.epsilon)
+        # closed-form C(t)/C_inf for observables diagonal in the interaction
+        # basis, as the cosine observables are
+        refs["c_norm_rmt"] = [0.0] + [
+            analytic_otoc(cfg.epsilon, t, 1.0, 1.0, diagonal_observables=True)
+            for t in range(1, cfg.T + 1)
+        ]
     return refs
 
 
-def _run_rotor(cfg):
-    params = cfg.system_params()
-    F = coupled_floquet(params)
-    o1, o2 = _rotor_observables(cfg)
+def _rotor_series(cfg, o1, o2):
+    F = coupled_floquet(cfg.system_params())
+    a0 = embed(o1, "left", cfg.N)
+    b0 = embed(o2, "right", cfg.N)
     meta = {"scenario": cfg.scenario}
-    if cfg.scenario == "same_subspace":
-        series = same_subspace_series(F, o1, o2, cfg.T, meta=meta)
-    else:
-        a0 = embed(o1, "left", cfg.N)
-        b0 = embed(o2, "right", cfg.N)
-        if cfg.path == "stochastic":
-            series = otoc_series_stochastic(
-                F, a0, b0, cfg.T, cfg.probes, _task_rng(cfg.seed, 0), meta=meta
-            )
-        else:
-            series = otoc_series_dense(F, a0, b0, cfg.T, meta=meta)
-    fits = _standard_fits(series, cfg, loglog=(cfg.scenario == "weak_chaos"))
-    return _series_columns(series), fits
+    if cfg.path == "stochastic":
+        return otoc_series_stochastic(
+            F, a0, b0, cfg.T, cfg.probes, _task_rng(cfg.seed, 0), meta=meta
+        )
+    return otoc_series_dense(F, a0, b0, cfg.T, meta=meta)
 
 
-def _run_rmt(cfg):
+def _gue_pair(cfg):
+    return tuple(
+        gue_observable(cfg.N, np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
+        for k in (1, 2)
+    )
+
+
+def _run_rotor_otoc(cfg, out, stem):
+    o = cosine_observable(cfg.N, cfg.alpha)
+    series = _rotor_series(cfg, o, o)
+    return _series_columns(series), _phase_fits(series, cfg), []
+
+
+def _run_gue_otoc(cfg, out, stem):
+    series = _rotor_series(cfg, *_gue_pair(cfg))
+    return _series_columns(series), _phase_fits(series, cfg), []
+
+
+def _run_weak_chaos(cfg, out, stem):
+    series = _rotor_series(cfg, *_gue_pair(cfg))
+    fits = _phase_fits(series, cfg)
+    _try_fit(fits, "loglog", lambda: _loglog_fit(series))
+    return _series_columns(series), fits, []
+
+
+def _run_same_subspace(cfg, out, stem):
+    F = coupled_floquet(cfg.system_params())
+    o = cosine_observable(cfg.N, cfg.alpha)
+    series = same_subspace_series(F, o, o, cfg.T, meta={"scenario": cfg.scenario})
+    return _series_columns(series), _phase_fits(series, cfg), []
+
+
+def _run_rmt(cfg, out, stem):
     spec = RmtEnsembleSpec(
         N=cfg.N, epsilon=cfg.epsilon, T=cfg.T, samples=cfg.samples, rng_seed=cfg.seed
     )
     o = cosine_observable(cfg.N, cfg.alpha)
     series = rmt_otoc_mc(spec, o, o)
     fits = {}
-    try:
-        fits["relaxation"] = _fit_dict(
-            fit_relaxation_phase(
-                series, _window_or_none(cfg.relax_window), t_ef=1.0
-            )
-        )
-    except ValueError as exc:
-        fits["relaxation_error"] = str(exc)
-    return _series_columns(series), fits
+    _try_fit(fits, "relaxation", lambda: _fit_dict(
+        fit_relaxation_phase(series, _window_or_none(cfg.relax_window), t_ef=1.0)
+    ))
+    return _series_columns(series), fits, []
 
 
 def _rate_point(args):
-    cfg_dict, b, index = args
+    cfg_dict, b = args
     cfg = ExperimentConfig(**cfg_dict)
     cfg.b = b
-    cfg.scenario = "rotor_otoc"
     params = cfg.system_params()
     F = coupled_floquet(params)
     o = cosine_observable(cfg.N, cfg.alpha)
@@ -348,22 +365,20 @@ def scan_pool(threads):
     )
 
 
-def _run_rate_scan(cfg):
+def _run_rate_scan(cfg, out, stem):
     if not cfg.b_list:
         raise ConfigError("rate_scan needs b_list (field 'b_list', comma separated)")
-    jobs = [
-        (dataclasses.asdict(cfg), float(b), i) for i, b in enumerate(cfg.b_list)
-    ]
+    jobs = [(dataclasses.asdict(cfg), float(b)) for b in cfg.b_list]
     if cfg.threads > 1:
         with scan_pool(cfg.threads) as pool:
             points = list(pool.map(_rate_point, jobs))
     else:
         points = [_rate_point(j) for j in jobs]
     cols = {k: [p[k] for p in points] for k in points[0]}
-    return cols, {}
+    return cols, {}, []
 
 
-def _run_classical(cfg):
+def _run_classical(cfg, out, stem):
     fit = classical_lyapunov(
         cfg.K1, cfg.K2, cfg.b,
         ensemble=cfg.ensemble,
@@ -371,32 +386,37 @@ def _run_classical(cfg):
         rng=_task_rng(cfg.seed, 0),
     )
     cols = {"two_lambda_cl": [fit.slope], "stderr": [fit.slope_stderr]}
-    return cols, {"classical_lyapunov": _fit_dict(fit)}
+    return cols, {"classical_lyapunov": _fit_dict(fit)}, []
 
 
-def _run_pr_series(cfg):
-    F = coupled_floquet(cfg.system_params())
-    pr = pr_series(F, cfg.q0, cfg.p0, cfg.T)
-    cols = {"t": list(range(cfg.T + 1)), "pr": pr.tolist()}
-    fits = {}
+def _pr_relaxation(pr, cfg):
+    """Slope of ln(1 - PR) past the Ehrenfest time, above twice the
+    smallest gap."""
     gap = 1.0 - pr
     t_ef = ehrenfest_time(cfg.N, max(cfg.K1, cfg.K2))
     t_min = int(np.ceil(t_ef)) + 1
     floor = 2.0 * max(gap.min(), 1e-12)
     ts = np.arange(cfg.T + 1)
     mask = (ts >= t_min) & (gap > floor)
-    if mask.sum() >= 3:
-        slope, intercept, stderr = linear_fit(ts[mask], np.log(gap[mask]))
-        fits["pr_relaxation"] = {
-            "slope": slope, "intercept": intercept, "slope_stderr": stderr,
-            "window": [int(ts[mask][0]), int(ts[mask][-1])],
-        }
-    return cols, fits
+    if mask.sum() < 3:
+        raise ValueError("fewer than three unsaturated points past the Ehrenfest time")
+    slope, intercept, stderr = linear_fit(ts[mask], np.log(gap[mask]))
+    return {
+        "slope": slope, "intercept": intercept, "slope_stderr": stderr,
+        "window": [int(ts[mask][0]), int(ts[mask][-1])],
+    }
 
 
-def _run_husimi(cfg, out_dir, stem):
-    from .phasespace import evolve_product_state
+def _run_pr_series(cfg, out, stem):
+    F = coupled_floquet(cfg.system_params())
+    pr = pr_series(F, cfg.q0, cfg.p0, cfg.T)
+    cols = {"t": list(range(cfg.T + 1)), "pr": pr.tolist()}
+    fits = {}
+    _try_fit(fits, "pr_relaxation", lambda: _pr_relaxation(pr, cfg))
+    return cols, fits, []
 
+
+def _run_husimi(cfg, out, stem):
     F = coupled_floquet(cfg.system_params())
     frame = coherent_frame(cfg.N, cfg.alpha)
     times = [int(t) for t in cfg.husimi_times]
@@ -406,12 +426,26 @@ def _run_husimi(cfg, out_dir, stem):
         rho_b = partial_trace_over_first(states[t], cfg.N)
         grid = reduced_husimi(rho_b, frame)
         # rows are p indices, columns q indices
-        path = out_dir / f"{stem}_grid_t{t}.csv"
+        path = out / f"{stem}_grid_t{t}.csv"
         np.savetxt(path, grid.values.T, delimiter=",", fmt="%.17g")
         files.append(str(path))
     cols = {"t": times, "grid_file": [Path(f).name for f in files]}
     meta = {"husimi": {"normalization": float(cfg.N), "layout": "rows p, columns q"}}
     return cols, meta, files
+
+
+# Scenario name -> runner(cfg, out_dir, file_stem) -> (columns, fits, extra_files)
+SCENARIOS = {
+    "rotor_otoc": _run_rotor_otoc,
+    "rmt_otoc": _run_rmt,
+    "rate_scan": _run_rate_scan,
+    "classical_lyapunov": _run_classical,
+    "husimi": _run_husimi,
+    "pr_series": _run_pr_series,
+    "same_subspace": _run_same_subspace,
+    "gue_otoc": _run_gue_otoc,
+    "weak_chaos": _run_weak_chaos,
+}
 
 
 def run(config, out_dir=None):
@@ -426,22 +460,7 @@ def run(config, out_dir=None):
         counter += 1
         stem = f"{config.scenario}_{stamp}_{counter}"
 
-    extra_files = []
-    if config.scenario in ("rotor_otoc", "same_subspace", "gue_otoc", "weak_chaos"):
-        cols, fits = _run_rotor(config)
-    elif config.scenario == "rmt_otoc":
-        cols, fits = _run_rmt(config)
-    elif config.scenario == "rate_scan":
-        cols, fits = _run_rate_scan(config)
-    elif config.scenario == "classical_lyapunov":
-        cols, fits = _run_classical(config)
-    elif config.scenario == "pr_series":
-        cols, fits = _run_pr_series(config)
-    elif config.scenario == "husimi":
-        cols, fits, extra_files = _run_husimi(config, out, stem)
-    else:
-        raise ConfigError(f"unknown scenario {config.scenario!r}")
-
+    cols, fits, extra_files = SCENARIOS[config.scenario](config, out, stem)
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     write_csv(csv_path, cols)
@@ -487,51 +506,6 @@ def write_csv(path, cols):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def compare(record_a, record_b, tolerances=None, default_tol=0.0):
-    """Column-wise relative comparison of two result records.
-
-    ``tolerances`` maps column names to allowed max relative deviation;
-    unknown columns fall back to ``default_tol``.  Returns a report dict
-    with per-column deviations and an overall pass flag.
-    """
-    cols_a, cols_b = record_a.columns, record_b.columns
-    if set(cols_a) != set(cols_b):
-        raise ValueError(
-            f"schema mismatch: {sorted(cols_a)} vs {sorted(cols_b)}"
-        )
-    tolerances = tolerances or {}
-    report = {"columns": {}, "passed": True}
-    for name in cols_a:
-        a = np.asarray(cols_a[name])
-        b = np.asarray(cols_b[name])
-        if a.dtype.kind not in "fiu" or b.dtype.kind not in "fiu":
-            dev = 0.0 if list(a) == list(b) else float("inf")
-        else:
-            # equal entries, NaN against NaN included, deviate by zero
-            same = (a == b) | (np.isnan(a) & np.isnan(b))
-            scale = np.maximum(np.abs(a), np.abs(b))
-            scale[scale == 0] = 1.0
-            with np.errstate(invalid="ignore"):
-                rel = np.where(same, 0.0, np.abs(a - b) / scale)
-            dev = float(np.nan_to_num(rel, nan=np.inf).max()) if a.size else 0.0
-        tol = tolerances.get(name, default_tol)
-        ok = dev <= tol
-        report["columns"][name] = {"max_rel_dev": dev, "tol": tol, "passed": ok}
-        report["passed"] &= ok
-    return report
-
-
-def compare_with_stderr(record_a, record_b, value_col, err_col, n_sigma=3.0):
-    """Pass when |a - b| <= n_sigma * combined standard error, per row."""
-    a = np.asarray(record_a.columns[value_col], dtype=float)
-    b = np.asarray(record_b.columns[value_col], dtype=float)
-    ea = np.asarray(record_a.columns.get(err_col, np.zeros_like(a)), dtype=float)
-    eb = np.asarray(record_b.columns.get(err_col, np.zeros_like(b)), dtype=float)
-    band = n_sigma * np.sqrt(ea**2 + eb**2)
-    ok = np.abs(a - b) <= band
-    return {"passed": bool(ok.all()), "violations": int((~ok).sum())}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="otoclab", description="coupled kicked-rotor scrambling experiments"
@@ -558,6 +532,10 @@ def main(argv=None):
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
     print(f"wrote {record.files[0]}")
+    for name, fit in record.fits.items():
+        print(f"  {name}: {json.dumps(fit)}")
+    for name, value in record.analytic.items():
+        print(f"  {name} = {json.dumps(value)}")
     return 0
 
 

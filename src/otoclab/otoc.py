@@ -9,6 +9,7 @@ and builds no product-space matrix.  Observables are subsystem factors from
 :func:`otoclab.operators.embed`; C_inf is :func:`saturation_value` of them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -115,12 +116,8 @@ def heisenberg_step(A, F):
     if A.dim != F.N**2:
         raise ValueError(f"operator dimension {A.dim} != N^2 = {F.N ** 2}")
     check_budget(A.dim)
-    return OperatorMatrix(_heisenberg_step_raw(A.entries, F), role=A.role)
-
-
-def _heisenberg_step_raw(A, F):
-    out = bipartite.kron_conjugate(F.U1.entries, F.U2.entries, A)
-    return bipartite.diag_conjugate(F.Ub_diag, out)
+    out = bipartite.kron_conjugate(F.U1.entries, F.U2.entries, A.entries)
+    return OperatorMatrix(bipartite.diag_conjugate(F.Ub_diag, out), role=A.role)
 
 
 def _check_norm(A, norm0, t):
@@ -154,33 +151,42 @@ def _c2_c4(A, B_side, B_loc):
     return c2.real, c4.real
 
 
+def kicked_c2_c4(A, B0, kicks):
+    """C2(t) and C4(t) of a dense Hermitian A(0) against the embedded B0.
+
+    ``kicks`` yields one ``(U1, U2, d)`` per step; a step takes A to
+    D^dag (U1 x U2)^dag A (U1 x U2) D with D = diag(d).  Returns two arrays
+    for t = 0 .. number of kicks.  Every kick checks that ||A(t)||_F stays
+    at ||A(0)||_F.
+    """
+    norm0 = bipartite.frobenius_norm(A)
+    c2, c4 = _c2_c4(A, B0.side, B0.op.entries)
+    c2s, c4s = [c2], [c4]
+    for t, (U1, U2, d) in enumerate(kicks, start=1):
+        A = bipartite.kron_conjugate(U1, U2, A)
+        A = bipartite.diag_conjugate(d, A)
+        _check_norm(A, norm0, t)
+        c2, c4 = _c2_c4(A, B0.side, B0.op.entries)
+        c2s.append(c2)
+        c4s.append(c4)
+    return np.array(c2s), np.array(c4s)
+
+
 def otoc_series_dense(F, A0, B0, T, meta=None):
     """Exact-trace OTOC series for Hermitian observables A0, B0.
 
     Both come from :func:`otoclab.operators.embed`.  A(0) is the one dense
     N^2 x N^2 matrix built, within the budget; the traces use B0's local
-    factor.  Every kick checks that ||A(t)||_F stays at ||A0||_F.
+    factor.
     """
     _check_embedded(F.N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
-    A = A0.dense()
-    norm0 = bipartite.frobenius_norm(A)
-    c2s, c4s = [], []
-    for t in range(T + 1):
-        if t > 0:
-            A = _heisenberg_step_raw(A, F)
-            _check_norm(A, norm0, t)
-        c2, c4 = _c2_c4(A, B0.side, B0.op.entries)
-        c2s.append(c2)
-        c4s.append(c4)
+    kick = (F.U1.entries, F.U2.entries, F.Ub_diag)
+    c2, c4 = kicked_c2_c4(A0.dense(), B0, itertools.repeat(kick, T))
     info = {"params": F.params, "path": "dense"}
     info.update(meta or {})
     return OtocSeries(
-        times=np.arange(T + 1),
-        c2=np.array(c2s),
-        c4=np.array(c4s),
-        c_infinity=c_inf,
-        meta=info,
+        times=np.arange(T + 1), c2=c2, c4=c4, c_infinity=c_inf, meta=info
     )
 
 

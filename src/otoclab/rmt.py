@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bipartite
 from .operators import embed
-from .otoc import OtocSeries, _c2_c4, _check_norm, saturation_value
+from .otoc import OtocSeries, kicked_c2_c4, saturation_value
 
 
 @dataclass(frozen=True)
@@ -84,29 +83,30 @@ def analytic_otoc(epsilon, t, trO1sq, trO2sq, diagonal_observables=False):
     return float(trO1sq * trO2sq * (1.0 - sinc(np.pi * epsilon) ** exponent))
 
 
+def _sampled_kicks(spec, rng):
+    """The T random kicks of one realization: two CUE factors, then the
+    interaction, drawn in that order from ``rng``."""
+    for _ in range(spec.T):
+        yield (
+            sample_cue(spec.N, rng),
+            sample_cue(spec.N, rng),
+            sample_interaction(spec.N, spec.epsilon, rng),
+        )
+
+
 def rmt_otoc_mc(spec, O1, O2, meta=None):
     """Monte Carlo OTOC over the random-matrix ensemble, exact traces per
     realization; returns mean and standard error of C2, C4 and C."""
-    N = spec.N
     c_inf = saturation_value(O1, O2)
-    A0 = embed(O1, "left", N).dense()
-    norm0 = bipartite.frobenius_norm(A0)
+    A0 = embed(O1, "left", spec.N).dense()
+    B0 = embed(O2, "right", spec.N)
 
     c2 = np.empty((spec.samples, spec.T + 1))
     c4 = np.empty((spec.samples, spec.T + 1))
     for s in range(spec.samples):
         # per-sample substream: results are independent of execution order
         rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed, spawn_key=(s,)))
-        A = A0
-        c2[s, 0], c4[s, 0] = _c2_c4(A, "right", O2.entries)
-        for t in range(1, spec.T + 1):
-            f1 = sample_cue(N, rng)
-            f2 = sample_cue(N, rng)
-            u = sample_interaction(N, spec.epsilon, rng)
-            A = bipartite.kron_conjugate(f1, f2, A)
-            A = bipartite.diag_conjugate(u, A)
-            _check_norm(A, norm0, t)
-            c2[s, t], c4[s, t] = _c2_c4(A, "right", O2.entries)
+        c2[s], c4[s] = kicked_c2_c4(A0, B0, _sampled_kicks(spec, rng))
 
     sqrt_s = np.sqrt(spec.samples)
     info = {"scenario": "rmt", "spec": spec, "path": "rmt_mc"}

@@ -1,17 +1,16 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otoclab.cli import (
+    SCENARIOS,
     ConfigError,
-    ExperimentConfig,
-    ResultRecord,
     _cap_blas_threads,
     blas_threads,
-    compare,
-    compare_with_stderr,
     load_config,
     main,
     run,
@@ -138,7 +137,6 @@ class TestScenarios:
         assert np.isnan(serial.columns["mu_rmt"][0])
         with open(serial.files[0], "rb") as a, open(pooled.files[0], "rb") as b:
             assert a.read() == b.read()
-        assert compare(serial, pooled)["passed"]
 
     def test_rate_scan_workers_cap_blas_threads(self):
         if blas_threads() is None:
@@ -185,44 +183,6 @@ class TestScenarios:
         assert len(pr) == 7 and all(0 < v <= 1 for v in pr)
 
 
-def _record(cols):
-    return ResultRecord(scenario="x", config={}, columns=cols)
-
-
-class TestCompare:
-    def test_identical(self):
-        a = _record({"t": [0, 1], "c": [0.5, 1.0]})
-        report = compare(a, a)
-        assert report["passed"]
-
-    def test_nan_in_the_same_place_is_equal(self):
-        # rate_scan writes NaN mu_rmt where eps(b) lies outside (0, 1)
-        a = _record({"b": [0.0, 0.0625], "mu_rmt": [float("nan"), 0.1]})
-        report = compare(a, a)
-        assert report["passed"]
-        assert report["columns"]["mu_rmt"]["max_rel_dev"] == 0.0
-        b = _record({"b": [0.0, 0.0625], "mu_rmt": [0.1, float("nan")]})
-        assert not compare(a, b)["passed"]
-
-    def test_tolerance(self):
-        a = _record({"c": [1.0]})
-        b = _record({"c": [1.01]})
-        assert not compare(a, b)["passed"]
-        assert compare(a, b, tolerances={"c": 0.02})["passed"]
-
-    def test_schema_mismatch(self):
-        with pytest.raises(ValueError, match="schema"):
-            compare(_record({"a": [1]}), _record({"b": [1]}))
-
-    def test_stderr_comparison(self):
-        a = _record({"c": [1.0, 2.0], "c_err": [0.1, 0.1]})
-        b = _record({"c": [1.2, 2.1], "c_err": [0.1, 0.1]})
-        assert compare_with_stderr(a, b, "c", "c_err")["passed"]
-        c = _record({"c": [2.0, 2.0], "c_err": [0.1, 0.1]})
-        report = compare_with_stderr(a, c, "c", "c_err")
-        assert not report["passed"] and report["violations"] == 1
-
-
 class TestMain:
     def test_success(self, tmp_path, capsys):
         rc = main([
@@ -260,3 +220,76 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# per-scenario inputs on top of N=8, T=6, b=0.3, small enough for a unit test
+SMALL = {
+    "rate_scan": ["b_list=0.0625"],
+    "rmt_otoc": ["samples=3", "epsilon=0.2"],
+    "classical_lyapunov": ["ensemble=2000"],
+    "husimi": ["husimi_times=0,2"],
+}
+
+
+def _argv(scenario, out, sets):
+    argv = ["--scenario", scenario, "--out", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    return argv
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"sidecar is not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_every_scenario_runs(self, scenario, tmp_path, capsys):
+        sets = ["N=8", "T=6", "b=0.3", *SMALL.get(scenario, [])]
+        assert main(_argv(scenario, tmp_path, sets)) == 0
+        (sidecar_path,) = tmp_path.glob(f"{scenario}_*.json")
+        sidecar = _strict_json(sidecar_path.read_text())
+        assert (tmp_path / sidecar["csv"]).exists()
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("wrote ")
+        printed = [line.split()[0].rstrip(":") for line in out[1:]]
+        assert printed == [*sidecar["fits"], *sidecar["analytic"]]
+
+    def test_rmt_sidecar_carries_the_closed_form(self, tmp_path):
+        sets = ["N=6", "T=4", "samples=2", "epsilon=0.3"]
+        assert main(_argv("rmt_otoc", tmp_path, sets)) == 0
+        (sidecar_path,) = tmp_path.glob("*.json")
+        closed = _strict_json(sidecar_path.read_text())["analytic"]["c_norm_rmt"]
+        assert closed[:2] == [0.0, 0.0]
+        assert closed[2] == pytest.approx(0.4570672132923127, rel=1e-14)
+        assert len(closed) == 5
+
+    @pytest.mark.parametrize(
+        "scenario, sets, error",
+        [
+            ("weak_chaos", ["N=8", "T=4"], ("loglog_error", "at least two points")),
+            ("pr_series", ["N=8", "T=4", "K1=1", "K2=1.5"],
+             ("pr_relaxation_error", "needs K > 2")),
+        ],
+    )
+    def test_failed_fit_keeps_the_series(self, scenario, sets, error, tmp_path):
+        assert main(_argv(scenario, tmp_path, sets)) == 0
+        (csv,) = tmp_path.glob("*.csv")
+        assert len(csv.read_text().splitlines()) == 6
+        fits = _strict_json(csv.with_suffix(".json").read_text())["fits"]
+        name, reason = error
+        assert reason in fits[name]
+
+    def test_one_scenario_list(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        choices = re.search(r"--scenario \{([a-z_,]+)\}", usage).group(1).split(",")
+        section = README.read_text().split("### Scenarios", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M)
+        assert sorted(choices) == sorted(SCENARIOS) == sorted(listed)
