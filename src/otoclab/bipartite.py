@@ -18,31 +18,36 @@ def split_dim(dim_sq):
     return n
 
 
-def apply_local(psi, U1=None, U2=None):
-    """Apply (U1 x U2) to one vector or a batch of column vectors."""
-    n = split_dim(psi.shape[0])
-    batch = psi.reshape(n, n, -1)
+def apply_local(X, U1=None, U2=None):
+    """(U1 x U2) X for X with N^2 rows (a vector, a batch of columns or an
+    operator); a None factor is the identity.  U1 acts on the outer row
+    index, then U2 on the inner one, batched over the outer."""
+    n = split_dim(X.shape[0])
+    out = X
     if U1 is not None:
-        batch = np.tensordot(U1, batch, axes=(1, 0))
+        out = U1 @ out.reshape(n, -1)
     if U2 is not None:
-        batch = np.tensordot(U2, batch, axes=(1, 1)).transpose(1, 0, 2)
-    out = batch.reshape(n * n, -1)
-    return out[:, 0] if psi.ndim == 1 else out
+        out = U2 @ out.reshape(n, n, -1)
+    return out.reshape(X.shape)
+
+
+def right_multiply_embedded(X, U1=None, U2=None):
+    """X (U1 x U2) for X with N^2 columns; a None factor is the identity.
+    U2 acts on the inner column index, then U1 on the outer one, batched
+    over the rows."""
+    n = split_dim(X.shape[-1])
+    out = X
+    if U2 is not None:
+        out = out.reshape(-1, n) @ U2
+    if U1 is not None:
+        out = U1.T @ out.reshape(-1, n, n)
+    return out.reshape(X.shape)
 
 
 def kron_conjugate(U1, U2, A):
-    """(U1 x U2)^dag A (U1 x U2) without forming the Kronecker product.
-
-    Four contiguous products, one per tensor index of A[a1, a2, b1, b2]:
-    U1^dag on a1, U2^dag on a2 (batched over a1), U2 on b2, and U1 on b1
-    (batched over the row pair).
-    """
-    n = U1.shape[0]
-    X = U1.conj().T @ A.reshape(n, n**3)
-    X = U2.conj().T @ X.reshape(n, n, n * n)
-    Y = X.reshape(n**3, n) @ U2
-    Y = U1.T @ Y.reshape(n * n, n, n)
-    return Y.reshape(n * n, n * n)
+    """(U1 x U2)^dag A (U1 x U2) without forming the Kronecker product:
+    one product from each side, four contiguous matmuls in all."""
+    return right_multiply_embedded(apply_local(A, U1.conj().T, U2.conj().T), U1, U2)
 
 
 def diag_conjugate(d, A):
@@ -50,22 +55,6 @@ def diag_conjugate(d, A):
     out = A * d.conj()[:, None]
     out *= d
     return out
-
-
-def right_multiply_embedded(A, M, side):
-    """A @ (M x I) ("left") or A @ (I x M) ("right") for a subsystem matrix M."""
-    n = M.shape[0]
-    if side == "right":
-        return (A.reshape(-1, n) @ M).reshape(A.shape)
-    return (M.T @ A.reshape(-1, n, n)).reshape(A.shape)
-
-
-def left_multiply_embedded(M, X, side):
-    """(M x I) @ X ("left") or (I x M) @ X ("right") for a subsystem matrix M."""
-    n = M.shape[0]
-    if side == "left":
-        return (M @ X.reshape(n, -1)).reshape(X.shape)
-    return (M @ X.reshape(n, n, -1)).reshape(X.shape)
 
 
 def trace_product(X, Y):

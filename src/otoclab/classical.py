@@ -120,9 +120,16 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=(2, 5), rng=None)
     Initial conditions are uniform on [0,1)^4.  Realizations where the
     bracket vanishes identically inside the window are excluded (measure
     zero up to roundoff); more than 1% exclusions aborts the estimate.
+    At b = 0 the tangent map is block-diagonal, so dq1/dp2 vanishes
+    identically and the estimate is refused before anything is drawn.
     """
     if ensemble < 1000:
         raise ValueError("ensemble must contain at least 1000 trajectories")
+    if b == 0:
+        raise ValueError(
+            "b = 0 decouples the rotors: the tangent map is block-diagonal, "
+            "so the bracket dq1(t)/dp2(0) vanishes identically"
+        )
     if rng is None:
         rng = np.random.default_rng()
     t_lo, t_hi = fit_window

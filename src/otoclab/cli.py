@@ -213,10 +213,12 @@ def _loglog_fit(series):
 
 def _analytic_refs(cfg):
     refs = {}
-    try:
-        refs["t_ehrenfest"] = ehrenfest_time(cfg.N, max(cfg.K1, cfg.K2))
-    except ValueError:
-        pass
+    # the RMT model has no kick strength; its relaxation fit takes t_EF = 1
+    if cfg.scenario != "rmt_otoc":
+        try:
+            refs["t_ehrenfest"] = ehrenfest_time(cfg.N, max(cfg.K1, cfg.K2))
+        except ValueError:
+            pass
     if cfg.b > 0:
         try:
             refs["mu_standard_map"] = mu_standard_map(cfg.N, cfg.b)

@@ -154,6 +154,14 @@ class Embedded:
     def dim(self):
         return self.op.dim * self.n_other
 
+    @property
+    def factors(self):
+        """The local factors ``(U1, U2)`` of this observable, None standing
+        for the identity: arguments for :func:`otoclab.bipartite.apply_local`
+        and :func:`otoclab.bipartite.right_multiply_embedded`."""
+        m = self.op.entries
+        return (m, None) if self.side == "left" else (None, m)
+
     def dense(self):
         """The dim x dim Kronecker product, checked against the budget."""
         check_budget(self.dim)

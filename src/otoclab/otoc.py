@@ -35,15 +35,13 @@ NORM_DRIFT_TOL = 1e-10
 
 @dataclass
 class OtocSeries:
-    """Time series of the correlators, plus optional Monte Carlo errors."""
+    """Time series of the correlators, plus an optional Monte Carlo error of C."""
 
     times: np.ndarray
     c2: np.ndarray
     c4: np.ndarray
     c_infinity: float
     meta: dict = field(default_factory=dict)
-    c2_err: np.ndarray = None
-    c4_err: np.ndarray = None
     c_err: np.ndarray = None
 
     @property
@@ -139,10 +137,11 @@ def _check_embedded(N, *observables):
             raise ValueError("observables must live on the product space")
 
 
-def _c2_c4(A, B_side, B_loc):
-    """C2 = Tr[A^2 B^2] = ||AB||_F^2 and C4 = Tr[A BAB] for Hermitian A, B."""
-    ab = bipartite.right_multiply_embedded(A, B_loc, B_side)
-    bab = bipartite.left_multiply_embedded(B_loc, ab, B_side)
+def _c2_c4(A, B0):
+    """C2 = Tr[A^2 B^2] = ||AB||_F^2 and C4 = Tr[A BAB] for Hermitian A and
+    the embedded B0."""
+    ab = bipartite.right_multiply_embedded(A, *B0.factors)
+    bab = bipartite.apply_local(ab, *B0.factors)
     c2 = bipartite.trace_product(ab, ab)
     c4 = bipartite.trace_product(A, bab)
     for name, val in (("C2", c2), ("C4", c4)):
@@ -160,13 +159,13 @@ def kicked_c2_c4(A, B0, kicks):
     at ||A(0)||_F.
     """
     norm0 = bipartite.frobenius_norm(A)
-    c2, c4 = _c2_c4(A, B0.side, B0.op.entries)
+    c2, c4 = _c2_c4(A, B0)
     c2s, c4s = [c2], [c4]
     for t, (U1, U2, d) in enumerate(kicks, start=1):
         A = bipartite.kron_conjugate(U1, U2, A)
         A = bipartite.diag_conjugate(d, A)
         _check_norm(A, norm0, t)
-        c2, c4 = _c2_c4(A, B0.side, B0.op.entries)
+        c2, c4 = _c2_c4(A, B0)
         c2s.append(c2)
         c4s.append(c4)
     return np.array(c2s), np.array(c4s)
@@ -203,13 +202,6 @@ def same_subspace_series(F, O1a, O1b, T, meta=None):
     )
 
 
-def _apply_embedded(side, m, batch):
-    """(m x I) ("left") or (I x m) ("right") on a batch of vectors."""
-    if side == "left":
-        return bipartite.apply_local(batch, U1=m)
-    return bipartite.apply_local(batch, U2=m)
-
-
 def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     """Random-phase trace estimation of the OTOC for large N.
 
@@ -223,8 +215,8 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     N = F.N
     _check_embedded(N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
-    a, b = A0.op.entries, B0.op.entries
-    b_sq = b @ b
+    a, b = A0.factors, B0.factors
+    b_sq = [None if m is None else m @ m for m in b]
 
     from .kicked_rotor import apply_floquet
 
@@ -234,24 +226,22 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
         out = batch
         for _ in range(t):
             out = apply_floquet(F, out, "forward")
-        out = _apply_embedded(A0.side, a, out)
+        out = bipartite.apply_local(out, *a)
         for _ in range(t):
             out = apply_floquet(F, out, "adjoint")
         return out
 
-    c2_mean, c2_err, c4_mean, c4_err, c_err = [], [], [], [], []
+    c2_mean, c4_mean, c_err = [], [], []
     for t in range(T + 1):
-        y = heisenberg_apply(_apply_embedded(B0.side, b_sq, Z), t)
+        y = heisenberg_apply(bipartite.apply_local(Z, *b_sq), t)
         y = heisenberg_apply(y, t)
         e2 = np.einsum("ip,ip->p", Z.conj(), y).real
-        y = heisenberg_apply(_apply_embedded(B0.side, b, Z), t)
-        y = heisenberg_apply(_apply_embedded(B0.side, b, y), t)
+        y = heisenberg_apply(bipartite.apply_local(Z, *b), t)
+        y = heisenberg_apply(bipartite.apply_local(y, *b), t)
         e4 = np.einsum("ip,ip->p", Z.conj(), y).real
-        for vals, mean_acc, err_acc in ((e2, c2_mean, c2_err), (e4, c4_mean, c4_err)):
-            mean_acc.append(vals.mean())
-            err_acc.append(vals.std(ddof=1) / np.sqrt(probes))
-        diff = e2 - e4
-        c_err.append(diff.std(ddof=1) / np.sqrt(probes))
+        c2_mean.append(e2.mean())
+        c4_mean.append(e4.mean())
+        c_err.append((e2 - e4).std(ddof=1) / np.sqrt(probes))
     info = {"params": F.params, "path": "stochastic", "probes": probes}
     info.update(meta or {})
     return OtocSeries(
@@ -260,8 +250,6 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
         c4=np.array(c4_mean),
         c_infinity=c_inf,
         meta=info,
-        c2_err=np.array(c2_err),
-        c4_err=np.array(c4_err),
         c_err=np.array(c_err),
     )
 

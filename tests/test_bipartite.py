@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otoclab import bipartite
+from otoclab.operators import OperatorMatrix, embed
 
 
 def _random_complex(rng, *shape):
@@ -69,31 +70,53 @@ def test_diag_conjugate():
     assert np.allclose(bipartite.diag_conjugate(d, A), D.conj().T @ A @ D)
 
 
-class TestRightMultiplyEmbedded:
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_matches_dense(self, side):
-        rng = np.random.default_rng(3)
-        n = 4
-        A = _random_complex(rng, n * n, n * n)
-        M = _random_complex(rng, n, n)
-        eye = np.eye(n)
-        big = np.kron(M, eye) if side == "left" else np.kron(eye, M)
-        got = bipartite.right_multiply_embedded(A, M, side)
-        assert np.allclose(got, A @ big)
+def _factor_pair(rng, n, which):
+    """(U1, U2) for M x I ("left"), I x M ("right") or U1 x U2 ("both"),
+    with None standing for the identity."""
+    U1 = _random_complex(rng, n, n) if which in ("left", "both") else None
+    U2 = _random_complex(rng, n, n) if which in ("right", "both") else None
+    return U1, U2
 
 
-class TestLeftMultiplyEmbedded:
-    @pytest.mark.parametrize("side", ["left", "right"])
+def _kron(U1, U2, n):
+    eye = np.eye(n)
+    return np.kron(eye if U1 is None else U1, eye if U2 is None else U2)
+
+
+class TestApplyLocalOperator:
+    @pytest.mark.parametrize("which", ["left", "right", "both"])
     @given(n=st.integers(2, 5), seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
-    def test_matches_kron(self, side, n, seed):
+    def test_matches_kron(self, which, n, seed):
         rng = np.random.default_rng(seed)
         X = _random_complex(rng, n * n, n * n)
-        M = _random_complex(rng, n, n)
-        eye = np.eye(n)
-        big = np.kron(M, eye) if side == "left" else np.kron(eye, M)
-        got = bipartite.left_multiply_embedded(M, X, side)
-        assert np.allclose(got, big @ X)
+        U1, U2 = _factor_pair(rng, n, which)
+        got = bipartite.apply_local(X, U1, U2)
+        assert got.shape == X.shape
+        assert np.allclose(got, _kron(U1, U2, n) @ X)
+
+
+class TestRightMultiplyEmbedded:
+    @pytest.mark.parametrize("which", ["left", "right", "both"])
+    def test_matches_dense(self, which):
+        rng = np.random.default_rng(3)
+        n = 4
+        X = _random_complex(rng, n * n, n * n)
+        U1, U2 = _factor_pair(rng, n, which)
+        got = bipartite.right_multiply_embedded(X, U1, U2)
+        assert got.shape == X.shape
+        assert np.allclose(got, X @ _kron(U1, U2, n))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_embedded_factors(side):
+    rng = np.random.default_rng(6)
+    n = 4
+    op = OperatorMatrix(_random_complex(rng, n, n))
+    e = embed(op, side, n)
+    X = _random_complex(rng, n * n, n * n)
+    assert np.allclose(bipartite.apply_local(X, *e.factors), e.dense() @ X)
+    assert np.allclose(bipartite.right_multiply_embedded(X, *e.factors), X @ e.dense())
 
 
 def test_trace_product():

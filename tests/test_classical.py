@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,12 @@ class TestClassicalLyapunov:
     def test_ensemble_floor(self):
         with pytest.raises(ValueError):
             classical_lyapunov(9.0, 10.0, 0.05, ensemble=10)
+
+    def test_uncoupled_is_refused_before_sampling(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="block-diagonal"):
+                classical_lyapunov(9.0, 10.0, 0.0, ensemble=2000, rng=rng)
+        assert rng.bit_generator.state == state

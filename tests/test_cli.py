@@ -264,7 +264,10 @@ class TestScenarioTable:
         sets = ["N=6", "T=4", "samples=2", "epsilon=0.3"]
         assert main(_argv("rmt_otoc", tmp_path, sets)) == 0
         (sidecar_path,) = tmp_path.glob("*.json")
-        closed = _strict_json(sidecar_path.read_text())["analytic"]["c_norm_rmt"]
+        analytic = _strict_json(sidecar_path.read_text())["analytic"]
+        # no kick strength enters the RMT model
+        assert "t_ehrenfest" not in analytic
+        closed = analytic["c_norm_rmt"]
         assert closed[:2] == [0.0, 0.0]
         assert closed[2] == pytest.approx(0.4570672132923127, rel=1e-14)
         assert len(closed) == 5
