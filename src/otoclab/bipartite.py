@@ -71,9 +71,3 @@ def trace_product(X, Y):
 def frobenius_norm(X):
     """||X||_F, summed per row like :func:`trace_product`."""
     return float(np.sqrt(np.vecdot(X, X).sum().real))
-
-
-def partial_trace_first(rho):
-    """Trace out subsystem 1 of a product-space density matrix."""
-    n = split_dim(rho.shape[0])
-    return rho.reshape(n, n, n, n).trace(axis1=0, axis2=2)

@@ -54,10 +54,11 @@ class CoupledFloquet:
         return self.params.N
 
     def dense(self):
-        """Materialize the N^2 x N^2 matrix (budget permitting)."""
+        """Materialize the N^2 x N^2 matrix (budget permitting), untagged:
+        its unitary factors are checked at N x N, not by an O(N^6) U^dag U."""
         check_budget(self.N**2)
         big = np.kron(self.U1.entries, self.U2.entries) * self.Ub_diag[None, :]
-        return OperatorMatrix(big, role="unitary")
+        return OperatorMatrix(big)
 
 
 def coupled_floquet(params):

@@ -1,10 +1,12 @@
 """Infinite-temperature OTOC of the coupled rotors and its two-phase fits.
 
 C(t) = C2(t) - C4(t) with C2 = Tr[A(t)^2 B^2] and C4 = Tr[A(t) B A(t) B];
-A evolves in the Heisenberg picture, one kick per step.  The dense path keeps
-A as a full product-space matrix but conjugates through the Kronecker
-structure of the propagator, so a step costs O(N^5) instead of O(N^6).  The
-stochastic path estimates the same traces with random-phase probe vectors
+A evolves in the Heisenberg picture, one kick per step.  For Hermitian A(t)
+and B every path evaluates C2 = ||A(t) B S||_F^2 and C = ||[A(t), B] S||_F^2
+/ 2, so C >= 0 by construction, and C4 = C2 - C.  The dense path takes S = I
+and conjugates the full product-space A through the Kronecker structure of
+the propagator, so a step costs O(N^5) instead of O(N^6).  The stochastic
+path takes for S a block Z of random-phase probe vectors, E[Z Z^dag] = I,
 and builds no product-space matrix.  Observables are subsystem factors from
 :func:`otoclab.operators.embed`; C_inf is :func:`saturation_value` of them.
 """
@@ -138,16 +140,14 @@ def _check_embedded(N, *observables):
 
 
 def _c2_c4(A, B0):
-    """C2 = Tr[A^2 B^2] = ||AB||_F^2 and C4 = Tr[A BAB] for Hermitian A and
-    the embedded B0."""
+    """C2 = ||AB||_F^2 and C4 = C2 - ||AB - BA||_F^2 / 2 for Hermitian A and
+    the embedded B0; both traces are squared norms, so they are real."""
     ab = bipartite.right_multiply_embedded(A, *B0.factors)
-    bab = bipartite.apply_local(ab, *B0.factors)
-    c2 = bipartite.trace_product(ab, ab)
-    c4 = bipartite.trace_product(A, bab)
-    for name, val in (("C2", c2), ("C4", c4)):
-        if abs(val.imag) > 1e-10 * max(abs(val.real), 1.0):
-            raise FloatingPointError(f"{name} has a non-negligible imaginary part")
-    return c2.real, c4.real
+    ba = bipartite.apply_local(A, *B0.factors)
+    c2 = bipartite.trace_product(ab, ab).real
+    ab -= ba
+    c = 0.5 * bipartite.trace_product(ab, ab).real
+    return c2, c2 - c
 
 
 def kicked_c2_c4(A, B0, kicks):
@@ -205,10 +205,11 @@ def same_subspace_series(F, O1a, O1b, T, meta=None):
 def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     """Random-phase trace estimation of the OTOC for large N.
 
-    Uses unit-modulus probe vectors z with E[z z^dag] = I, giving unbiased
-    estimates of the traces; standard errors come from the probe scatter.
-    A0 and B0 come from :func:`otoclab.operators.embed` and are applied
-    through their N x N factors, so no budget applies.
+    Uses unit-modulus probe vectors z with E[z z^dag] = I: per probe,
+    ||A(t) B z||^2 and ||A(t) B z - B A(t) z||^2 / 2 are unbiased estimates
+    of C2 and C, and ``c_err`` is the standard error of the latter.  A0 and
+    B0 come from :func:`otoclab.operators.embed` and are applied through
+    their N x N factors, so no budget applies.
     """
     if probes < 16:
         raise ValueError("need at least 16 probe vectors")
@@ -216,7 +217,6 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     _check_embedded(N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
     a, b = A0.factors, B0.factors
-    b_sq = [None if m is None else m @ m for m in b]
 
     from .kicked_rotor import apply_floquet
 
@@ -233,15 +233,14 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
 
     c2_mean, c4_mean, c_err = [], [], []
     for t in range(T + 1):
-        y = heisenberg_apply(bipartite.apply_local(Z, *b_sq), t)
-        y = heisenberg_apply(y, t)
-        e2 = np.einsum("ip,ip->p", Z.conj(), y).real
+        # y first, so that A(t) Z is not alive while y propagates (peak memory)
         y = heisenberg_apply(bipartite.apply_local(Z, *b), t)
-        y = heisenberg_apply(bipartite.apply_local(y, *b), t)
-        e4 = np.einsum("ip,ip->p", Z.conj(), y).real
+        e2 = np.einsum("ip,ip->p", y.conj(), y).real
+        y -= bipartite.apply_local(heisenberg_apply(Z, t), *b)
+        e = 0.5 * np.einsum("ip,ip->p", y.conj(), y).real
         c2_mean.append(e2.mean())
-        c4_mean.append(e4.mean())
-        c_err.append((e2 - e4).std(ddof=1) / np.sqrt(probes))
+        c4_mean.append(e2.mean() - e.mean())
+        c_err.append(e.std(ddof=1) / np.sqrt(probes))
     info = {"params": F.params, "path": "stochastic", "probes": probes}
     info.update(meta or {})
     return OtocSeries(

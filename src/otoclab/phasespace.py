@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bipartite
 from .kicked_rotor import apply_floquet
 
 
@@ -82,17 +81,13 @@ def evolve_product_state(F, q0, p0, T, frame=None):
     return out
 
 
-def partial_trace_over_first(rho_or_psi, N):
-    """Reduced density matrix of subsystem 2."""
-    arr = np.asarray(rho_or_psi)
-    if arr.ndim == 1:
-        if arr.shape[0] != N * N:
-            raise ValueError(f"state length {arr.shape[0]} != N^2")
-        P = arr.reshape(N, N)
-        return P.T @ P.conj()
-    if arr.shape != (N * N, N * N):
-        raise ValueError(f"density matrix shape {arr.shape} != (N^2, N^2)")
-    return bipartite.partial_trace_first(arr)
+def partial_trace_over_first(psi, N):
+    """Reduced density matrix of subsystem 2 for a product-space state."""
+    psi = np.asarray(psi)
+    if psi.shape != (N * N,):
+        raise ValueError(f"state shape {psi.shape} != (N^2,)")
+    P = psi.reshape(N, N)
+    return P.T @ P.conj()
 
 
 @dataclass(frozen=True)

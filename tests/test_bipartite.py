@@ -124,13 +124,3 @@ def test_trace_product():
     A = _random_complex(rng, 6, 6)
     B = _random_complex(rng, 6, 6)
     assert np.isclose(bipartite.trace_product(A, B), np.trace(A.conj().T @ B))
-
-
-def test_partial_trace_first():
-    rng = np.random.default_rng(5)
-    n = 3
-    # product state rho1 x rho2 must reduce to tr(rho1) * rho2
-    r1 = _random_complex(rng, n, n)
-    r2 = _random_complex(rng, n, n)
-    got = bipartite.partial_trace_first(np.kron(r1, r2))
-    assert np.allclose(got, np.trace(r1) * r2)

@@ -157,6 +157,19 @@ class TestDenseSeries:
         c2, c4 = _brute_force_series(F, A0.dense(), B0.dense(), 4)
         assert np.allclose(series.c2, c2, atol=1e-8)
         assert np.allclose(series.c4, c4, atol=1e-8)
+        assert np.abs(series.c - (c2 - c4)).max() <= 1e-12 * series.c_infinity
+
+    def test_gue_observables_swapped_sides(self):
+        # C = ||[A(t), B]||_F^2 / 2 against Tr[A^2 B^2] - Tr[ABAB] on full
+        # matrices, with A in subsystem 2 and B in subsystem 1
+        N = 5
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=0.3))
+        A0 = embed(gue_observable(N, 21), "right", N)
+        B0 = embed(gue_observable(N, 22), "left", N)
+        series = otoc_series_dense(F, A0, B0, T=6)
+        c2, c4 = _brute_force_series(F, A0.dense(), B0.dense(), 6)
+        assert np.abs(series.c2 - c2).max() <= 1e-12 * series.c_infinity
+        assert np.abs(series.c - (c2 - c4)).max() <= 1e-12 * series.c_infinity
 
 
 class TestKickInvariants:
@@ -253,6 +266,25 @@ class TestStochasticSeries:
         a = otoc_series_stochastic(F, A0, B0, 3, 32, np.random.default_rng(7))
         b = otoc_series_stochastic(F, A0, B0, 3, 32, np.random.default_rng(7))
         assert np.array_equal(a.c2, b.c2) and np.array_equal(a.c4, b.c4)
+
+
+class TestCommutatorIdentity:
+    """C = C2 - C4 is half a squared norm on every path, so C >= 0 holds at
+    every t, also where the exact C is zero and only roundoff is left."""
+
+    @pytest.mark.parametrize("N", [6, 8, 10, 12])
+    @pytest.mark.parametrize("kind", ["cosine", "gue"])
+    def test_c_is_nonnegative(self, N, kind):
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
+        if kind == "cosine":
+            o1 = o2 = cosine_observable(N, 0.35)
+        else:
+            o1, o2 = gue_observable(N, 1), gue_observable(N, 2)
+        A0, B0 = embed(o1, "left", N), embed(o2, "right", N)
+        dense = otoc_series_dense(F, A0, B0, T=12)
+        stoch = otoc_series_stochastic(F, A0, B0, 12, 32, np.random.default_rng(N))
+        assert np.all(dense.c >= 0)
+        assert np.all(stoch.c >= 0)
 
 
 def _synthetic_series(times, c_norm, c_inf=1024.0):
