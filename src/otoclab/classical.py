@@ -114,8 +114,10 @@ def poisson_otoc(x0, K1, K2, b, T):
     return np.array(out)
 
 
-def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=(2, 5), rng=None):
+def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, rng=None):
     """Slope of the ensemble-averaged log Poisson bracket; estimates 2 lambda_cl.
+
+    The fit runs over the kicks ``fit_window``, (2, 5) when None.
 
     Initial conditions are uniform on [0,1)^4.  Realizations where the
     bracket vanishes identically inside the window are excluded (measure
@@ -132,7 +134,7 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=(2, 5), rng=None)
         )
     if rng is None:
         rng = np.random.default_rng()
-    t_lo, t_hi = fit_window
+    t_lo, t_hi = fit_window or (2, 5)
     p1, q1, p2, q2 = rng.random((4, ensemble))
     sin_q2_0_sq = np.sin(_TWO_PI * q2) ** 2
     J = np.broadcast_to(np.eye(4), (ensemble, 4, 4)).copy()

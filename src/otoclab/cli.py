@@ -9,6 +9,12 @@ reference rates, so any output file can be regenerated bit-for-bit from its
 sidecar.  A fit that cannot be made is recorded as ``<name>_error`` in the
 sidecar; it does not stop the run.
 
+Every rotor OTOC scenario (``rotor_otoc``, ``gue_otoc``, ``weak_chaos``,
+``same_subspace`` and each point of ``rate_scan``) builds its series in
+:func:`_rotor_series`, so ``path`` selects the dense or stochastic series
+for all of them.  ``lyap_window`` is the growth-fit window of the quantum
+fits and of ``classical_lyapunov`` alike.
+
 Seeding: the master seed is split into per-task substreams with
 ``np.random.SeedSequence(seed, spawn_key=(task_index,))`` so parallel and
 serial execution produce identical results.
@@ -43,7 +49,6 @@ from .otoc import (
     mu_standard_map,
     otoc_series_dense,
     otoc_series_stochastic,
-    same_subspace_series,
 )
 from .phasespace import (
     coherent_frame,
@@ -79,10 +84,8 @@ class ExperimentConfig:
     p0: float = 0.3
     b_list: tuple = ()          # rate_scan points
     husimi_times: tuple = (0, 2, 4, 10)
-    lyap_window: tuple = ()     # empty = automatic
+    lyap_window: tuple = ()     # empty = automatic; also the classical fit
     relax_window: tuple = ()
-    fit_t_min: int = 2          # classical fit window
-    fit_t_max: int = 5
     out: str = "results"
 
     def system_params(self):
@@ -239,16 +242,18 @@ def _analytic_refs(cfg):
     return refs
 
 
-def _rotor_series(cfg, o1, o2):
+def _rotor_series(cfg, o1, o2, side2="right"):
+    """OTOC series of A = o1 x I against o2 on ``side2`` of the product
+    space, on the path ``cfg.path`` selects.  Every stochastic series draws
+    its probes from substream 0, so the points of a rate scan share them."""
     F = coupled_floquet(cfg.system_params())
     a0 = embed(o1, "left", cfg.N)
-    b0 = embed(o2, "right", cfg.N)
-    meta = {"scenario": cfg.scenario}
+    b0 = embed(o2, side2, cfg.N)
     if cfg.path == "stochastic":
         return otoc_series_stochastic(
-            F, a0, b0, cfg.T, cfg.probes, _task_rng(cfg.seed, 0), meta=meta
+            F, a0, b0, cfg.T, cfg.probes, _task_rng(cfg.seed, 0)
         )
-    return otoc_series_dense(F, a0, b0, cfg.T, meta=meta)
+    return otoc_series_dense(F, a0, b0, cfg.T)
 
 
 def _gue_pair(cfg):
@@ -277,9 +282,8 @@ def _run_weak_chaos(cfg, out, stem):
 
 
 def _run_same_subspace(cfg, out, stem):
-    F = coupled_floquet(cfg.system_params())
     o = cosine_observable(cfg.N, cfg.alpha)
-    series = same_subspace_series(F, o, o, cfg.T, meta={"scenario": cfg.scenario})
+    series = _rotor_series(cfg, o, o, side2="left")
     return _series_columns(series), _phase_fits(series, cfg), []
 
 
@@ -300,12 +304,9 @@ def _rate_point(args):
     cfg_dict, b = args
     cfg = ExperimentConfig(**cfg_dict)
     cfg.b = b
-    params = cfg.system_params()
-    F = coupled_floquet(params)
     o = cosine_observable(cfg.N, cfg.alpha)
-    series = otoc_series_dense(
-        F, embed(o, "left", cfg.N), embed(o, "right", cfg.N), cfg.T
-    )
+    series = _rotor_series(cfg, o, o)
+    # not _try_fit: a point that cannot be fitted fails the scan
     fit = fit_relaxation_phase(series, _window_or_none(cfg.relax_window))
     eps = epsilon_from_b(cfg.N, b)
     return {
@@ -384,7 +385,7 @@ def _run_classical(cfg, out, stem):
     fit = classical_lyapunov(
         cfg.K1, cfg.K2, cfg.b,
         ensemble=cfg.ensemble,
-        fit_window=(cfg.fit_t_min, cfg.fit_t_max),
+        fit_window=_window_or_none(cfg.lyap_window),
         rng=_task_rng(cfg.seed, 0),
     )
     cols = {"two_lambda_cl": [fit.slope], "stderr": [fit.slope_stderr]}
@@ -508,7 +509,8 @@ def write_csv(path, cols):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def main(argv=None):
+def _config_from_argv(argv):
+    """The resolved config of an ``otoclab`` command line; runs nothing."""
     parser = argparse.ArgumentParser(
         prog="otoclab", description="coupled kicked-rotor scrambling experiments"
     )
@@ -526,9 +528,12 @@ def main(argv=None):
         val = getattr(args, key)
         if val is not None:
             overrides.append(f"{key}={val}")
+    return load_config(args.config, overrides)
+
+
+def main(argv=None):
     try:
-        config = load_config(args.config, overrides)
-        record = run(config)
+        record = run(_config_from_argv(argv))
     except (ValueError, FloatingPointError, RuntimeError, MemoryError) as exc:
         # a bare MemoryError carries no message
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)

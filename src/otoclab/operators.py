@@ -147,10 +147,6 @@ class Embedded:
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
 
     @property
-    def role(self):
-        return self.op.role
-
-    @property
     def dim(self):
         return self.op.dim * self.n_other
 

@@ -9,6 +9,8 @@ the propagator, so a step costs O(N^5) instead of O(N^6).  The stochastic
 path takes for S a block Z of random-phase probe vectors, E[Z Z^dag] = I,
 and builds no product-space matrix.  Observables are subsystem factors from
 :func:`otoclab.operators.embed`; C_inf is :func:`saturation_value` of them.
+Both paths take either side for either observable: A = O1 x I against
+B = I x O2 is the bipartite OTOC, and B = O2 x I the same-subsystem one.
 """
 
 import itertools
@@ -19,7 +21,8 @@ import numpy as np
 from scipy.special import j0
 
 from . import bipartite
-from .operators import Embedded, OperatorMatrix, check_budget, embed
+from .kicked_rotor import apply_floquet
+from .operators import Embedded, OperatorMatrix, check_budget
 
 # First zero of the Bessel function J0; mu(b) diverges there.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -189,19 +192,6 @@ def otoc_series_dense(F, A0, B0, T, meta=None):
     )
 
 
-def same_subspace_series(F, O1a, O1b, T, meta=None):
-    """OTOC with both observables in subsystem 1: A = O1a x I, B = O1b x I."""
-    info = {"scenario": "same_subspace"}
-    info.update(meta or {})
-    return otoc_series_dense(
-        F,
-        embed(O1a, "left", F.N),
-        embed(O1b, "left", F.N),
-        T,
-        meta=info,
-    )
-
-
 def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     """Random-phase trace estimation of the OTOC for large N.
 
@@ -217,9 +207,6 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     _check_embedded(N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
     a, b = A0.factors, B0.factors
-
-    from .kicked_rotor import apply_floquet
-
     Z = np.exp(2j * np.pi * rng.random((N**2, probes)))
 
     def heisenberg_apply(batch, t):

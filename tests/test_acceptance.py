@@ -26,7 +26,6 @@ from otoclab.otoc import (
     mu_standard_map,
     otoc_series_dense,
     otoc_series_stochastic,
-    same_subspace_series,
     saturation_value,
 )
 from otoclab.phasespace import (
@@ -260,7 +259,7 @@ def test_08_same_subspace():
     means = []
     for b in (0.0, 2 / N):
         F = coupled_floquet(SystemParams(N=N, K1=K1, K2=K2, b=b))
-        series = same_subspace_series(F, o1, o2, T)
+        series = otoc_series_dense(F, embed(o1, "left", N), embed(o2, "left", N), T)
         c_norm = series.c / saturation_value(o1, o2)
         means.append(c_norm[series.times > t_ef].mean())
     rel = abs(means[0] - means[1]) / abs(means[0])

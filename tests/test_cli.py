@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from otoclab.cli import (
     SCENARIOS,
     ConfigError,
     _cap_blas_threads,
+    _config_from_argv,
     blas_threads,
     load_config,
     main,
@@ -43,6 +45,12 @@ class TestLoadConfig:
         assert cfg.epsilon == 0.2
         assert cfg.b_list == (0.01, 0.02)
         assert cfg.T == 5
+
+    @pytest.mark.parametrize("key", ["fit_t_min", "fit_t_max"])
+    def test_classical_window_fields_are_gone(self, key):
+        # the classical fit reads lyap_window
+        with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
+            load_config(overrides=[f"{key}=3"])
 
     def test_unknown_field_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -124,14 +132,27 @@ class TestScenarios:
         record = run(cfg, out_dir=tmp_path)
         assert record.columns["two_lambda_cl"][0] == pytest.approx(3.92, abs=0.3)
 
+    @pytest.mark.parametrize(
+        "window, fitted", [("", [2, 5]), ("2,4", [2, 4])], ids=["default", "2-4"]
+    )
+    def test_classical_scenario_reads_lyap_window(self, window, fitted, tmp_path):
+        cfg = load_config(
+            overrides=["scenario=classical_lyapunov", "b=0.05", "ensemble=2000",
+                       f"lyap_window={window}"]
+        )
+        record = run(cfg, out_dir=tmp_path)
+        assert record.fits["classical_lyapunov"]["window"] == fitted
+
     def test_rate_scan_requires_b_list(self, tmp_path):
         cfg = load_config(overrides=["scenario=rate_scan", "N=8"])
         with pytest.raises(ConfigError, match="b_list"):
             run(cfg, out_dir=tmp_path)
 
-    def test_rate_scan_pool_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("path", ["dense", "stochastic"])
+    def test_rate_scan_pool_matches_serial(self, path, tmp_path):
         # b = 0 gives eps = 0 and so a NaN mu_rmt row
-        sets = ["scenario=rate_scan", "N=16", "T=12", "b_list=0.0,0.0625,0.125"]
+        sets = ["scenario=rate_scan", "N=16", "T=12", "b_list=0.0,0.0625,0.125",
+                f"path={path}"]
         serial = run(load_config(None, sets + ["threads=1"]), out_dir=tmp_path / "serial")
         pooled = run(load_config(None, sets + ["threads=2"]), out_dir=tmp_path / "pooled")
         assert np.isnan(serial.columns["mu_rmt"][0])
@@ -192,16 +213,25 @@ class TestMain:
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
 
-    def test_stochastic_path_runs_past_the_dense_budget(self, tmp_path):
+    @pytest.mark.parametrize(
+        "scenario, sets, header",
+        [
+            ("rotor_otoc", ["T=1"], "t,c2,c4,c,c_norm,c_err"),
+            ("same_subspace", ["T=1"], "t,c2,c4,c,c_norm,c_err"),
+            # the relaxation fit needs three kicks past t_EF = 2.8
+            ("rate_scan", ["T=6", "b_list=0.010416666666666666"],
+             "b,mu_fit,mu_fit_err,mu_analytic,epsilon,mu_rmt"),
+        ],
+        ids=["rotor_otoc", "same_subspace", "rate_scan"],
+    )
+    def test_stochastic_path_runs_past_the_dense_budget(
+        self, scenario, sets, header, tmp_path
+    ):
         # N^2 = 9216 exceeds the dense budget; the stochastic path needs none
-        rc = main([
-            "--scenario", "rotor_otoc", "--out", str(tmp_path),
-            "--set", "N=96", "--set", "path=stochastic",
-            "--set", "T=1", "--set", "probes=16",
-        ])
-        assert rc == 0
+        sets = ["N=96", "path=stochastic", "probes=16", *sets]
+        assert main(_argv(scenario, tmp_path, sets)) == 0
         (csv,) = tmp_path.glob("*.csv")
-        assert csv.read_text().splitlines()[0] == "t,c2,c4,c,c_norm,c_err"
+        assert csv.read_text().splitlines()[0] == header
 
     def test_config_error(self, capsys):
         rc = main(["--set", "N=not_a_number"])
@@ -296,3 +326,23 @@ class TestScenarioTable:
         section = README.read_text().split("### Scenarios", 1)[1].split("\n#", 1)[0]
         listed = re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M)
         assert sorted(choices) == sorted(SCENARIOS) == sorted(listed)
+
+
+def _readme_commands():
+    """Every ``otoclab ...`` command of the README's shell blocks, as argv."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.strip().startswith("otoclab ")]
+
+
+class TestReadmeCommands:
+    def test_commands_are_found(self):
+        assert len(_readme_commands()) >= 8
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_parses(self, argv, tmp_path, monkeypatch):
+        # resolves the config only; a config file the command names is empty here
+        monkeypatch.chdir(tmp_path)
+        if "--config" in argv:
+            (tmp_path / argv[argv.index("--config") + 1]).touch()
+        assert _config_from_argv(argv).scenario in SCENARIOS

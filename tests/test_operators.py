@@ -141,7 +141,7 @@ class TestEmbed:
         o = cosine_observable(4, 0.1)
         big = embed(o, "left", 5)
         assert big.dim == 20
-        assert big.role == "hermitian"
+        assert big.op.role == "hermitian"
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_dense_is_kron(self, side):

@@ -25,7 +25,6 @@ from otoclab.otoc import (
     mu_standard_map,
     otoc_series_dense,
     otoc_series_stochastic,
-    same_subspace_series,
     saturation_value,
 )
 from otoclab.rmt import RmtEnsembleSpec, rmt_otoc_mc
@@ -229,7 +228,7 @@ class TestSameSubspace:
         F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=0.3))
         o1 = cosine_observable(N, 0.35)
         o2 = gue_observable(N, 11)
-        series = same_subspace_series(F, o1, o2, T=4)
+        series = otoc_series_dense(F, embed(o1, "left", N), embed(o2, "left", N), T=4)
         A0 = np.kron(o1.entries, np.eye(N))
         B0 = np.kron(o2.entries, np.eye(N))
         c2, c4 = _brute_force_series(F, A0, B0, 4)
@@ -240,9 +239,8 @@ class TestSameSubspace:
         # same-subsystem observables need not commute at t = 0
         N = 4
         F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=0.3))
-        series = same_subspace_series(
-            F, gue_observable(N, 1), gue_observable(N, 2), T=1
-        )
+        o1, o2 = gue_observable(N, 1), gue_observable(N, 2)
+        series = otoc_series_dense(F, embed(o1, "left", N), embed(o2, "left", N), T=1)
         assert abs(series.c[0]) > 1e-6
 
 
@@ -255,6 +253,17 @@ class TestStochasticSeries:
         for t in range(6):
             band = 4.0 * max(stoch.c_err[t], 1e-12)
             assert abs(stoch.c[t] - dense.c[t]) <= band + 1e-9
+
+    def test_same_subspace_matches_dense_within_errors(self):
+        # both cosine observables in subsystem 1, as the same_subspace scenario
+        N, T, probes, seed = 8, 6, 256, 3
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=0.3))
+        o = cosine_observable(N, 0.35)
+        A0, B0 = embed(o, "left", N), embed(o, "left", N)
+        dense = otoc_series_dense(F, A0, B0, T)
+        stoch = otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(seed))
+        band = 4.0 * np.maximum(stoch.c_err, 1e-12)
+        assert np.all(np.abs(stoch.c - dense.c) <= band + 1e-9)
 
     def test_probe_floor(self, small_system):
         F, A0, B0 = small_system
