@@ -5,7 +5,8 @@ vector of length N^2 reshapes to an (n1, n2) matrix, and an operator on the
 product space reshapes to the four-index tensor T[a1, a2, b1, b2].  All
 routines here cost O(N^3)..O(N^5) instead of the naive O(N^4)..O(N^6), and
 every product runs on contiguous (batched) matrices, so no step copies a
-transposed operator.
+transposed operator.  The dense kick runs in place in two operators, A and
+a caller's scratch buffer, and allocates nothing of operator size.
 """
 
 import numpy as np
@@ -44,30 +45,30 @@ def right_multiply_embedded(X, U1=None, U2=None):
     return out.reshape(X.shape)
 
 
-def kron_conjugate(U1, U2, A):
-    """(U1 x U2)^dag A (U1 x U2) without forming the Kronecker product:
-    one product from each side, four contiguous matmuls in all."""
-    return right_multiply_embedded(apply_local(A, U1.conj().T, U2.conj().T), U1, U2)
+def kron_conjugate(U1, U2, A, work):
+    """A <- (U1 x U2)^dag A (U1 x U2) in place, without forming the Kronecker
+    product: four contiguous matmuls, written alternately into the scratch
+    ``work`` (A's shape) and A."""
+    n = split_dim(A.shape[0])
+    np.matmul(U1.conj().T, A.reshape(n, -1), out=work.reshape(n, -1))
+    np.matmul(U2.conj().T, work.reshape(n, n, -1), out=A.reshape(n, n, -1))
+    np.matmul(A.reshape(-1, n), U2, out=work.reshape(-1, n))
+    np.matmul(U1.T, work.reshape(-1, n, n), out=A.reshape(-1, n, n))
 
 
 def diag_conjugate(d, A):
-    """D^dag A D for diagonal D with entries d."""
-    out = A * d.conj()[:, None]
-    out *= d
-    return out
+    """A <- D^dag A D in place, for diagonal D with entries d."""
+    A *= d.conj()[:, None]
+    A *= d
 
 
 def trace_product(X, Y):
     """Hilbert-Schmidt product Tr[X^dag Y]; equals Tr[X Y] for Hermitian X.
 
-    Summed as one dot product per row.  Rows of a budgeted operator are
-    short enough (at most 2^13 entries) that OpenBLAS runs each dot on one
-    thread, so the value is bit-identical for every BLAS thread count; one
-    ``np.vdot`` over the whole matrix would split its sum across threads.
+    Summed as one dot product per row.  Two complex dim x dim buffers fit
+    DENSE_BUDGET_BYTES = 2^31 only for dim <= 2^13, so no budgeted row is
+    longer: short enough that OpenBLAS runs each dot on one thread, and the
+    value is bit-identical for every BLAS thread count; one ``np.vecdot``
+    over the whole matrix would split its sum across threads.
     """
     return np.vecdot(X, Y).sum()
-
-
-def frobenius_norm(X):
-    """||X||_F, summed per row like :func:`trace_product`."""
-    return float(np.sqrt(np.vecdot(X, X).sum().real))

@@ -151,6 +151,8 @@ def load_config(path=None, overrides=()):
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; choose from {', '.join(SCENARIOS)}"
         )
+    if cfg.path not in ("dense", "stochastic"):
+        raise ConfigError(f"unknown path {cfg.path!r}; choose from dense, stochastic")
     return cfg
 
 

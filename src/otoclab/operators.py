@@ -12,22 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Dense matrices on the product space are allowed up to this dimension
-# (N = 90); larger systems must use the stochastic path.
-MAX_DENSE_DIM = 2**13
+# Bytes of the dense path's two complex dim x dim buffers, A(t) and the kick's
+# scratch: dim <= 2^13 (N = 90).  Larger systems must use the stochastic path.
+DENSE_BUDGET_BYTES = 2**31
 
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 
 
 class BudgetError(ValueError):
-    """Requested dense dimension exceeds the memory budget."""
+    """The dense path's buffers would exceed the memory budget."""
 
 
 def check_budget(dim):
-    if dim > MAX_DENSE_DIM:
+    need = 2 * 16 * dim**2  # two complex dim x dim buffers
+    if need > DENSE_BUDGET_BYTES:
         raise BudgetError(
-            f"dense dimension {dim} exceeds budget {MAX_DENSE_DIM}; "
+            f"dense dimension {dim} needs {need} bytes for two complex buffers, "
+            f"over the budget of {DENSE_BUDGET_BYTES} bytes; "
             "use path=stochastic for larger systems"
         )
 

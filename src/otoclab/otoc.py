@@ -4,18 +4,22 @@ C(t) = C2(t) - C4(t) with C2 = Tr[A(t)^2 B^2] and C4 = Tr[A(t) B A(t) B];
 A evolves in the Heisenberg picture, one kick per step.  For Hermitian A(t)
 and B every path evaluates C2 = ||A(t) B S||_F^2 and C = ||[A(t), B] S||_F^2
 / 2, so C >= 0 by construction, and C4 = C2 - C.  The dense path takes S = I
-and conjugates the full product-space A through the Kronecker structure of
-the propagator, so a step costs O(N^5) instead of O(N^6).  The stochastic
-path takes for S a block Z of random-phase probe vectors, E[Z Z^dag] = I,
-and builds no product-space matrix.  Observables are subsystem factors from
-:func:`otoclab.operators.embed`; C_inf is :func:`saturation_value` of them.
+and conjugates the full product-space A in place, through the Kronecker
+structure of the propagator, in O(N^5) per step and two operators of memory.
+Its traces take one O(N^4) pass: for B = I x O or O x I, O = V diag(lam)
+V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
+row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
+and ||A(t)||_F^2 = sum W.  The stochastic path takes for S a block Z of
+random-phase probe vectors, E[Z Z^dag] = I, and builds no product-space
+matrix.  Observables are subsystem factors from :func:`otoclab.operators.embed`;
+C_inf is :func:`saturation_value` of them.
 Both paths take either side for either observable: A = O1 x I against
 B = I x O2 is the bipartite OTOC, and B = O2 x I the same-subsystem one.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import j0
@@ -119,14 +123,16 @@ def heisenberg_step(A, F):
     if A.dim != F.N**2:
         raise ValueError(f"operator dimension {A.dim} != N^2 = {F.N ** 2}")
     check_budget(A.dim)
-    out = bipartite.kron_conjugate(F.U1.entries, F.U2.entries, A.entries)
-    return OperatorMatrix(bipartite.diag_conjugate(F.Ub_diag, out), role=A.role)
+    out = A.entries.copy()
+    bipartite.kron_conjugate(F.U1.entries, F.U2.entries, out, np.empty_like(out))
+    bipartite.diag_conjugate(F.Ub_diag, out)
+    return OperatorMatrix(out, role=A.role)
 
 
-def _check_norm(A, norm0, t):
+def _check_norm(norm, norm0, t):
     """A unitary kick conserves ||A||_F; a drift means a non-unitary
     propagator or lost precision, and is an error rather than noise."""
-    drift = abs(bipartite.frobenius_norm(A) / norm0 - 1.0)
+    drift = abs(norm / norm0 - 1.0)
     if drift > NORM_DRIFT_TOL:
         raise FloatingPointError(
             f"||A(t)||_F drifted by {drift:.2e} relative at t={t}; "
@@ -142,33 +148,48 @@ def _check_embedded(N, *observables):
             raise ValueError("observables must live on the product space")
 
 
-def _c2_c4(A, B0):
-    """C2 = ||AB||_F^2 and C4 = C2 - ||AB - BA||_F^2 / 2 for Hermitian A and
-    the embedded B0; both traces are squared norms, so they are real."""
-    ab = bipartite.right_multiply_embedded(A, *B0.factors)
-    ba = bipartite.apply_local(A, *B0.factors)
-    c2 = bipartite.trace_product(ab, ab).real
-    ab -= ba
-    c = 0.5 * bipartite.trace_product(ab, ab).real
-    return c2, c2 - c
+def _traces(A, B0, lam, V):
+    """C2, C4 and ||A||_F from the weight matrix W of the module docstring,
+    reduced in row blocks of the other subsystem, 1/N of the operator each.
+    B0's factor has eigenvalues lam; V is the factor pair of its
+    eigenvectors, None for a diagonal factor.  W >= 0, so C >= 0."""
+    n = len(lam)
+    k = 0 if B0.side == "left" else 1  # B0's subsystem
+    W = np.zeros((n, n))
+    for block in np.moveaxis(A.reshape(n, n, n, n), 1 - k, 0):
+        block = block.reshape(n, n * n)  # rows: B0's row index
+        if V is not None:
+            block = bipartite.right_multiply_embedded(V[k].conj().T @ block, *V)
+        sq = np.square(block.real)
+        sq += np.square(block.imag)
+        W += sq.reshape(n, n, n).sum(axis=2 - k)
+    c2 = float(bipartite.trace_product(W, np.broadcast_to(lam**2, W.shape)))
+    c = 0.5 * float(bipartite.trace_product(W, (lam[:, None] - lam) ** 2))
+    return c2, c2 - c, math.sqrt(W.sum())
 
 
-def kicked_c2_c4(A, B0, kicks):
-    """C2(t) and C4(t) of a dense Hermitian A(0) against the embedded B0.
+def kicked_c2_c4(A0, B0, kicks):
+    """C2(t) and C4(t) of the embedded Hermitian A(0) against the embedded B0.
 
     ``kicks`` yields one ``(U1, U2, d)`` per step; a step takes A to
-    D^dag (U1 x U2)^dag A (U1 x U2) D with D = diag(d).  Returns two arrays
-    for t = 0 .. number of kicks.  Every kick checks that ||A(t)||_F stays
-    at ||A(0)||_F.
+    D^dag (U1 x U2)^dag A (U1 x U2) D with D = diag(d), in place in A(0) =
+    ``A0.dense()`` with one scratch buffer.  Returns two arrays for t = 0 ..
+    number of kicks.  Every kick checks that ||A(t)||_F stays at ||A(0)||_F.
     """
-    norm0 = bipartite.frobenius_norm(A)
-    c2, c4 = _c2_c4(A, B0)
+    A = A0.dense()
+    work = np.empty_like(A)
+    o = B0.op.entries
+    lam, V = np.diagonal(o).real, None
+    if np.any(o - np.diag(lam)):  # rotate the traces into O's eigenbasis
+        lam, v = np.linalg.eigh(o)
+        V = replace(B0, op=OperatorMatrix(v)).factors
+    c2, c4, norm0 = _traces(A, B0, lam, V)
     c2s, c4s = [c2], [c4]
     for t, (U1, U2, d) in enumerate(kicks, start=1):
-        A = bipartite.kron_conjugate(U1, U2, A)
-        A = bipartite.diag_conjugate(d, A)
-        _check_norm(A, norm0, t)
-        c2, c4 = _c2_c4(A, B0)
+        bipartite.kron_conjugate(U1, U2, A, work)
+        bipartite.diag_conjugate(d, A)
+        c2, c4, norm = _traces(A, B0, lam, V)
+        _check_norm(norm, norm0, t)
         c2s.append(c2)
         c4s.append(c4)
     return np.array(c2s), np.array(c4s)
@@ -177,14 +198,14 @@ def kicked_c2_c4(A, B0, kicks):
 def otoc_series_dense(F, A0, B0, T, meta=None):
     """Exact-trace OTOC series for Hermitian observables A0, B0.
 
-    Both come from :func:`otoclab.operators.embed`.  A(0) is the one dense
-    N^2 x N^2 matrix built, within the budget; the traces use B0's local
-    factor.
+    Both come from :func:`otoclab.operators.embed`.  A(t) and the kick's
+    scratch are the two dense N^2 x N^2 matrices, within the budget; the
+    traces use B0's local factor.
     """
     _check_embedded(F.N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
     kick = (F.U1.entries, F.U2.entries, F.Ub_diag)
-    c2, c4 = kicked_c2_c4(A0.dense(), B0, itertools.repeat(kick, T))
+    c2, c4 = kicked_c2_c4(A0, B0, itertools.repeat(kick, T))
     info = {"params": F.params, "path": "dense"}
     info.update(meta or {})
     return OtocSeries(

@@ -98,7 +98,7 @@ def rmt_otoc_mc(spec, O1, O2, meta=None):
     """Monte Carlo OTOC over the random-matrix ensemble, exact traces per
     realization; returns the means of C2 and C4 and the standard error of C."""
     c_inf = saturation_value(O1, O2)
-    A0 = embed(O1, "left", spec.N).dense()
+    A0 = embed(O1, "left", spec.N)
     B0 = embed(O2, "right", spec.N)
 
     c2 = np.empty((spec.samples, spec.T + 1))

@@ -58,8 +58,24 @@ class TestKronConjugate:
         A = _random_complex(rng, n * n, n * n)
         U = np.kron(U1, U2)
         want = U.conj().T @ A @ U
-        got = bipartite.kron_conjugate(U1, U2, A)
-        assert np.allclose(got, want)
+        bipartite.kron_conjugate(U1, U2, A, np.empty_like(A))
+        assert np.allclose(A, want)
+
+    def test_scratch_contents_do_not_leak(self):
+        # work is pure scratch: NaN left in it must not reach the result
+        rng = np.random.default_rng(5)
+        n = 4
+        U1 = _random_complex(rng, n, n)
+        U2 = _random_complex(rng, n, n)
+        A = _random_complex(rng, n * n, n * n)
+        U = np.kron(U1, U2)
+        want = U.conj().T @ A @ U
+        work = np.full_like(A, np.nan)
+        bipartite.kron_conjugate(U1, U2, A, work)
+        assert np.allclose(A, want)
+        d = np.exp(1j * rng.random(n * n))
+        bipartite.diag_conjugate(d, A)
+        assert np.allclose(A, np.diag(d.conj()) @ want @ np.diag(d))
 
 
 def test_diag_conjugate():
@@ -67,7 +83,9 @@ def test_diag_conjugate():
     d = np.exp(1j * rng.random(9))
     A = _random_complex(rng, 9, 9)
     D = np.diag(d)
-    assert np.allclose(bipartite.diag_conjugate(d, A), D.conj().T @ A @ D)
+    want = D.conj().T @ A @ D
+    bipartite.diag_conjugate(d, A)
+    assert np.allclose(A, want)
 
 
 def _factor_pair(rng, n, which):

@@ -72,6 +72,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown scenario"):
             load_config(overrides=["scenario=quantum_darts"])
 
+    def test_unknown_path(self):
+        # a misspelt path used to run the dense series silently
+        with pytest.raises(ConfigError, match="unknown path 'stochastc'.*dense, stochastic"):
+            load_config(overrides=["path=stochastc"])
+
 
 class TestWriteCsv:
     def test_roundtrip_precision(self, tmp_path):

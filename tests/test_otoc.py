@@ -170,6 +170,36 @@ class TestDenseSeries:
         assert np.abs(series.c2 - c2).max() <= 1e-12 * series.c_infinity
         assert np.abs(series.c - (c2 - c4)).max() <= 1e-12 * series.c_infinity
 
+    @pytest.mark.parametrize("N", [6, 9, 12])
+    @pytest.mark.parametrize("b_side", ["left", "right"])
+    def test_non_diagonal_B_matches_brute_force(self, N, b_side):
+        # a GUE factor for B is rotated into its eigenbasis before the
+        # weight-matrix traces; either side of the product space
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
+        a_side = "right" if b_side == "left" else "left"
+        A0 = embed(cosine_observable(N, 0.35), a_side, N)
+        B0 = embed(gue_observable(N, 40 + N), b_side, N)
+        series = otoc_series_dense(F, A0, B0, T=5)
+        c2, c4 = _brute_force_series(F, A0.dense(), B0.dense(), 5)
+        assert np.abs(series.c2 - c2).max() <= 1e-12 * series.c_infinity
+        assert np.abs(series.c - (c2 - c4)).max() <= 1e-12 * series.c_infinity
+
+
+class TestTwoBuffers:
+    def test_series_holds_two_operators(self):
+        # A(t) and the kick's scratch; the traces add 1/N of an operator
+        N = 24
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
+        o = cosine_observable(N, 0.35)
+        A0, B0 = embed(o, "left", N), embed(o, "right", N)
+        tracemalloc.start()
+        try:
+            otoc_series_dense(F, A0, B0, T=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 16 * N**4
+
 
 class TestKickInvariants:
     def test_non_unitary_propagator_raises(self, small_system):
