@@ -21,17 +21,18 @@ serial execution produce identical results.
 
 Threads: each of the ``threads`` rate-scan worker processes caps its
 OpenBLAS to ``cpus // threads`` threads, so the workers do not oversubscribe
-the CPUs; the calling process keeps its own thread count.
+the CPUs; the calling process keeps its own thread count.  ``rmt_otoc``
+runs its samples on min(samples, BLAS threads, cpus) worker processes under
+the same cap, in-process when that is one (inside a rate-scan worker, with
+one BLAS thread, or without OpenBLAS); the sidecar records the count under
+``fits.monte_carlo``.  No result depends on the number of workers.
 """
 
 import argparse
-import ctypes
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,6 +58,8 @@ from .phasespace import (
     pr_series,
     reduced_husimi,
 )
+from .parallel import _cap_blas_threads, blas_threads  # noqa: F401 - importable from cli
+from .parallel import worker_pool as scan_pool
 from .rmt import RmtEnsembleSpec, analytic_otoc, epsilon_from_b, mu_rmt, rmt_otoc_mc
 
 
@@ -295,7 +298,9 @@ def _run_rmt(cfg, out, stem):
     )
     o = cosine_observable(cfg.N, cfg.alpha)
     series = rmt_otoc_mc(spec, o, o)
-    fits = {}
+    fits = {"monte_carlo": {
+        k: series.meta[k] for k in ("workers", "worker_blas_threads")
+    }}
     _try_fit(fits, "relaxation", lambda: _fit_dict(
         fit_relaxation_phase(series, _window_or_none(cfg.relax_window), t_ef=1.0)
     ))
@@ -319,55 +324,6 @@ def _rate_point(args):
         "epsilon": eps,
         "mu_rmt": mu_rmt(eps) if 0 < eps < 1 else float("nan"),
     }
-
-
-def _openblas_symbol(kind):
-    """The ``openblas_{kind}_num_threads`` function of the OpenBLAS that
-    numpy loaded, or None where it cannot be found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for symbol in (f"scipy_openblas_{kind}_num_threads64_", f"openblas_{kind}_num_threads"):
-            if hasattr(lib, symbol):
-                return getattr(lib, symbol)
-    return None
-
-
-def blas_threads():
-    """Current OpenBLAS thread count of this process, or None."""
-    getter = _openblas_symbol("get")
-    if getter is None:
-        return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
-
-
-def _cap_blas_threads(count):
-    setter = _openblas_symbol("set")
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(count)
-
-
-def _cpu_count():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def scan_pool(threads):
-    """Process pool of ``threads`` workers, each capped to its share of the
-    CPUs in BLAS threads."""
-    return ProcessPoolExecutor(
-        max_workers=threads,
-        initializer=_cap_blas_threads,
-        initargs=(max(1, _cpu_count() // threads),),
-    )
 
 
 def _run_rate_scan(cfg, out, stem):

@@ -155,14 +155,18 @@ def _traces(A, B0, lam, V):
     eigenvectors, None for a diagonal factor.  W >= 0, so C >= 0."""
     n = len(lam)
     k = 0 if B0.side == "left" else 1  # B0's subsystem
-    W = np.zeros((n, n))
+    # one reduction per block over its float64 view (n, n, 2n): B0's row
+    # index, the outer column index, and the inner one as (real, imag) pairs
+    subscripts = "ijk,ijk->ij" if k == 0 else "ijk,ijk->ik"
+    W = np.zeros((n, n) if k == 0 else (n, 2 * n))
     for block in np.moveaxis(A.reshape(n, n, n, n), 1 - k, 0):
         block = block.reshape(n, n * n)  # rows: B0's row index
         if V is not None:
             block = bipartite.right_multiply_embedded(V[k].conj().T @ block, *V)
-        sq = np.square(block.real)
-        sq += np.square(block.imag)
-        W += sq.reshape(n, n, n).sum(axis=2 - k)
+        x = block.view(np.float64).reshape(n, n, 2 * n)
+        W += np.einsum(subscripts, x, x)
+    if k == 1:
+        W = W[:, 0::2] + W[:, 1::2]
     c2 = float(bipartite.trace_product(W, np.broadcast_to(lam**2, W.shape)))
     c = 0.5 * float(bipartite.trace_product(W, (lam[:, None] - lam) ** 2))
     return c2, c2 - c, math.sqrt(W.sum())

@@ -1,7 +1,20 @@
+import json
+import multiprocessing
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from otoclab.operators import cosine_observable, gue_observable
+from otoclab import rmt
+from otoclab.cli import load_config, run
+from otoclab.operators import BudgetError, cosine_observable, embed, gue_observable
+from otoclab.parallel import (
+    _cap_blas_threads,
+    _cpu_count,
+    blas_threads,
+    pool_size,
+    worker_blas_threads,
+)
 from otoclab.rmt import (
     RmtEnsembleSpec,
     analytic_otoc,
@@ -153,3 +166,64 @@ class TestMonteCarlo:
         o = gue_observable(4, 3)
         series = rmt_otoc_mc(spec, o, o)
         assert np.all(series.c_err == 0.0)
+
+
+class TestMonteCarloWorkers:
+    def test_same_answer_for_any_worker_count(self):
+        default = blas_threads()
+        if default is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        N = 8
+        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=5, samples=10, rng_seed=4)
+        o1, o2 = gue_observable(N, 1), gue_observable(N, 2)
+        runs = []
+        try:
+            for cap in (1, 2):
+                _cap_blas_threads(cap)
+                runs.append(rmt_otoc_mc(spec, o1, o2))
+        finally:
+            _cap_blas_threads(default)
+        serial, pooled = runs
+        assert serial.meta["workers"] == 1
+        assert pooled.meta["workers"] == min(2, _cpu_count())
+        for name in ("c2", "c4", "c_err"):
+            assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+
+    def test_budget_checked_before_workers(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(rmt, "worker_pool", lambda workers: started.append(workers))
+        o = cosine_observable(91, 0.35)
+        spec = RmtEnsembleSpec(N=91, epsilon=0.1, T=1, samples=4)
+        with pytest.raises(BudgetError, match="path=stochastic"):
+            rmt_otoc_mc(spec, o, o)
+        assert started == []
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_call(self, monkeypatch):
+        N = 6
+        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=3, samples=6, rng_seed=2)
+        o = cosine_observable(N, 0.35)
+        rmt_otoc_mc(spec, o, o)
+        assert multiprocessing.active_children() == []
+        # a non-unitary interaction trips the ||A(t)||_F drift check in
+        # every realization; forked workers inherit the patch
+        draw = rmt.sample_interaction
+        monkeypatch.setattr(rmt, "sample_interaction", lambda *a: 1.01 * draw(*a))
+        with pytest.raises(FloatingPointError, match="drifted") as pooled:
+            rmt_otoc_mc(spec, o, o)
+        assert multiprocessing.active_children() == []
+        # the caller sees the first realization's own error
+        with pytest.raises(FloatingPointError) as direct:
+            rmt._sample_c2_c4(spec, embed(o, "left", N), embed(o, "right", N), 0)
+        assert str(pooled.value) == str(direct.value)
+
+    def test_sidecar_records_workers(self, tmp_path):
+        cfg = load_config(None, ["scenario=rmt_otoc", "N=6", "T=3", "samples=4",
+                                 "epsilon=0.3"])
+        record = run(cfg, out_dir=tmp_path)
+        sidecar = json.loads(Path(record.files[0]).with_suffix(".json").read_text())
+        workers = pool_size(4)
+        assert sidecar["fits"]["monte_carlo"] == {
+            "workers": workers,
+            "worker_blas_threads": worker_blas_threads(workers) if workers > 1 else blas_threads(),
+        }
