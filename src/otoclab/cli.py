@@ -15,17 +15,16 @@ Every rotor OTOC scenario (``rotor_otoc``, ``gue_otoc``, ``weak_chaos``,
 for all of them.  ``lyap_window`` is the growth-fit window of the quantum
 fits and of ``classical_lyapunov`` alike.
 
-Seeding: the master seed is split into per-task substreams with
-``np.random.SeedSequence(seed, spawn_key=(task_index,))`` so parallel and
-serial execution produce identical results.
+Seeding: every random draw comes from a substream
+:func:`otoclab.parallel.task_rng` (seed, k), so parallel and serial
+execution produce identical results.
 
-Threads: each of the ``threads`` rate-scan worker processes caps its
-OpenBLAS to ``cpus // threads`` threads, so the workers do not oversubscribe
-the CPUs; the calling process keeps its own thread count.  ``rmt_otoc``
-runs its samples on min(samples, BLAS threads, cpus) worker processes under
-the same cap, in-process when that is one (inside a rate-scan worker, with
-one BLAS thread, or without OpenBLAS); the sidecar records the count under
-``fits.monte_carlo``.  No result depends on the number of workers.
+Workers: ``rate_scan`` runs its points, and ``rmt_otoc`` its samples,
+through :func:`otoclab.parallel.map_tasks`, on min(threads, points) and
+min(samples, BLAS threads, cpus) processes, each capped to ``cpus //
+workers`` BLAS threads, and in this process when that is one; the
+``rmt_otoc`` sidecar records its count under ``fits.monte_carlo``.  No
+result depends on the number of workers.
 """
 
 import argparse
@@ -58,8 +57,7 @@ from .phasespace import (
     pr_series,
     reduced_husimi,
 )
-from .parallel import _cap_blas_threads, blas_threads  # noqa: F401 - importable from cli
-from .parallel import worker_pool as scan_pool
+from .parallel import map_tasks, task_rng
 from .rmt import RmtEnsembleSpec, analytic_otoc, epsilon_from_b, mu_rmt, rmt_otoc_mc
 
 
@@ -92,10 +90,7 @@ class ExperimentConfig:
     out: str = "results"
 
     def system_params(self):
-        return SystemParams(
-            N=self.N, K1=self.K1, K2=self.K2, b=self.b,
-            alpha=self.alpha, epsilon=self.epsilon,
-        )
+        return SystemParams(N=self.N, K1=self.K1, K2=self.K2, b=self.b, alpha=self.alpha)
 
 
 @dataclass
@@ -156,11 +151,9 @@ def load_config(path=None, overrides=()):
         )
     if cfg.path not in ("dense", "stochastic"):
         raise ConfigError(f"unknown path {cfg.path!r}; choose from dense, stochastic")
+    if not 0.0 <= cfg.epsilon < 1.0:
+        raise ConfigError(f"epsilon must lie in [0, 1), got {cfg.epsilon!r}")
     return cfg
-
-
-def _task_rng(seed, index):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def _fit_dict(fit):
@@ -256,16 +249,13 @@ def _rotor_series(cfg, o1, o2, side2="right"):
     b0 = embed(o2, side2, cfg.N)
     if cfg.path == "stochastic":
         return otoc_series_stochastic(
-            F, a0, b0, cfg.T, cfg.probes, _task_rng(cfg.seed, 0)
+            F, a0, b0, cfg.T, cfg.probes, task_rng(cfg.seed, 0)
         )
     return otoc_series_dense(F, a0, b0, cfg.T)
 
 
 def _gue_pair(cfg):
-    return tuple(
-        gue_observable(cfg.N, np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
-        for k in (1, 2)
-    )
+    return tuple(gue_observable(cfg.N, task_rng(cfg.seed, k)) for k in (1, 2))
 
 
 def _run_rotor_otoc(cfg, out, stem):
@@ -307,20 +297,17 @@ def _run_rmt(cfg, out, stem):
     return _series_columns(series), fits, []
 
 
-def _rate_point(args):
-    cfg_dict, b = args
-    cfg = ExperimentConfig(**cfg_dict)
-    cfg.b = b
+def _rate_point(cfg):
     o = cosine_observable(cfg.N, cfg.alpha)
     series = _rotor_series(cfg, o, o)
     # not _try_fit: a point that cannot be fitted fails the scan
     fit = fit_relaxation_phase(series, _window_or_none(cfg.relax_window))
-    eps = epsilon_from_b(cfg.N, b)
+    eps = epsilon_from_b(cfg.N, cfg.b)
     return {
-        "b": b,
+        "b": cfg.b,
         "mu_fit": -fit.slope,
         "mu_fit_err": fit.slope_stderr,
-        "mu_analytic": mu_standard_map(cfg.N, b),
+        "mu_analytic": mu_standard_map(cfg.N, cfg.b),
         "epsilon": eps,
         "mu_rmt": mu_rmt(eps) if 0 < eps < 1 else float("nan"),
     }
@@ -329,12 +316,9 @@ def _rate_point(args):
 def _run_rate_scan(cfg, out, stem):
     if not cfg.b_list:
         raise ConfigError("rate_scan needs b_list (field 'b_list', comma separated)")
-    jobs = [(dataclasses.asdict(cfg), float(b)) for b in cfg.b_list]
-    if cfg.threads > 1:
-        with scan_pool(cfg.threads) as pool:
-            points = list(pool.map(_rate_point, jobs))
-    else:
-        points = [_rate_point(j) for j in jobs]
+    points = map_tasks(
+        _rate_point, [dataclasses.replace(cfg, b=float(b)) for b in cfg.b_list], cfg.threads
+    )
     cols = {k: [p[k] for p in points] for k in points[0]}
     return cols, {}, []
 
@@ -344,7 +328,7 @@ def _run_classical(cfg, out, stem):
         cfg.K1, cfg.K2, cfg.b,
         ensemble=cfg.ensemble,
         fit_window=_window_or_none(cfg.lyap_window),
-        rng=_task_rng(cfg.seed, 0),
+        rng=task_rng(cfg.seed, 0),
     )
     cols = {"two_lambda_cl": [fit.slope], "stderr": [fit.slope_stderr]}
     return cols, {"classical_lyapunov": _fit_dict(fit)}, []

@@ -73,8 +73,7 @@ class SystemParams:
 
     ``N`` is the Hilbert dimension per subsystem, ``K1``/``K2`` the kick
     strengths, ``b`` the rotor interaction, ``alpha`` the quantum phase
-    (0.35 by default, breaking parity), ``epsilon`` the interaction strength
-    of the random-matrix model counterpart.
+    (0.35 by default, breaking parity).
     """
 
     N: int
@@ -82,15 +81,12 @@ class SystemParams:
     K2: float = 0.0
     b: float = 0.0
     alpha: float = 0.35
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("subsystem dimension must be at least 2")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
 
 
 def _check_N(N):

@@ -1,16 +1,19 @@
-"""Worker processes and the OpenBLAS thread budget.
+"""Independent tasks on worker processes, and the OpenBLAS thread budget.
 
-The process's OpenBLAS thread count is its CPU budget.  A pool of k workers
-spends it on k independent tasks instead: each worker is capped to
-``cpus // k`` BLAS threads (at least one), so the workers do not
-oversubscribe the CPUs, and the calling process keeps its own thread count.
-Workers are forked, so they start with the caller's modules loaded;
-OpenBLAS stops its threads across a fork.
+:func:`map_tasks` is the one place that starts processes.  The process's
+OpenBLAS thread count is its CPU budget; k workers spend it on k
+independent tasks instead, each capped to ``cpus // k`` BLAS threads (at
+least one), while the calling process keeps its own count.  Workers are
+forked whatever the default start method, so they start with the caller's
+modules and their state; OpenBLAS stops its threads across a fork.
 """
 
 import ctypes
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 
 def _openblas_symbol(kind):
@@ -63,17 +66,32 @@ def pool_size(tasks):
 
 
 def worker_blas_threads(workers):
-    """BLAS threads of each of ``workers`` pool workers: their share of the
-    CPUs, at least one."""
+    """BLAS threads of each of ``workers`` workers: their share of the
+    CPUs, at least one.  One worker is this process, with its own count."""
+    if workers <= 1:
+        return blas_threads()
     return max(1, _cpu_count() // workers)
 
 
-def worker_pool(workers):
-    """Process pool of ``workers`` workers, each capped to its share of the
-    CPUs in BLAS threads.  Use it as a context manager, so that no worker
-    outlives the block."""
-    return ProcessPoolExecutor(
+def map_tasks(fn, tasks, workers):
+    """``[fn(t) for t in tasks]`` for a sequence ``tasks``, in task order,
+    on ``min(workers, len(tasks))`` forked processes, each capped to
+    :func:`worker_blas_threads` of that count; in this process where the
+    count is one.  A task's exception reaches the caller with its type and
+    message, and no worker outlives the call."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(
         max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
         initializer=_cap_blas_threads,
         initargs=(worker_blas_threads(workers),),
-    )
+    ) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def task_rng(seed, k):
+    """Generator of substream ``k`` of ``seed``: a task that draws from it
+    gets the same numbers in whichever process runs it."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))

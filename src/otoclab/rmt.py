@@ -7,9 +7,10 @@ C(t) = Tr(O1^2) Tr(O2^2) [1 - sinc^{4t}(pi eps)] to leading order in N
 (exponent 4(t-1) when the observables are diagonal in the interaction
 basis), with relaxation rate mu = -4 ln|sinc(pi eps)|.
 
-The Monte Carlo runs its realizations on :func:`otoclab.parallel.pool_size`
-worker processes; each realization draws from its own seed substream, so
-the result does not depend on the number of workers.
+The Monte Carlo runs its realizations through
+:func:`otoclab.parallel.map_tasks` on :func:`otoclab.parallel.pool_size`
+workers; each realization draws from its own seed substream, so the result
+does not depend on the number of workers.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .operators import check_budget, embed
 from .otoc import OtocSeries, kicked_c2_c4, saturation_value
-from .parallel import blas_threads, pool_size, worker_blas_threads, worker_pool
+from .parallel import map_tasks, pool_size, task_rng, worker_blas_threads
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,7 @@ def _sampled_kicks(spec, rng):
 def _sample_c2_c4(spec, A0, B0, s):
     """C2(t) and C4(t) of realization ``s``.  It draws from its own
     substream, so its value does not depend on which process runs it."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed, spawn_key=(s,)))
-    return kicked_c2_c4(A0, B0, _sampled_kicks(spec, rng))
+    return kicked_c2_c4(A0, B0, _sampled_kicks(spec, task_rng(spec.rng_seed, s)))
 
 
 def rmt_otoc_mc(spec, O1, O2, meta=None):
@@ -122,19 +122,13 @@ def rmt_otoc_mc(spec, O1, O2, meta=None):
 
     sample = partial(_sample_c2_c4, spec, A0, B0)
     workers = pool_size(spec.samples)
-    if workers > 1:
-        with worker_pool(workers) as pool:
-            rows = list(pool.map(sample, range(spec.samples)))
-        threads = worker_blas_threads(workers)
-    else:
-        rows = [sample(s) for s in range(spec.samples)]
-        threads = blas_threads()
+    rows = map_tasks(sample, range(spec.samples), workers)
     c2, c4 = (np.array(r) for r in zip(*rows))
 
     sqrt_s = np.sqrt(spec.samples)
     info = {
         "scenario": "rmt", "spec": spec, "path": "rmt_mc",
-        "workers": workers, "worker_blas_threads": threads,
+        "workers": workers, "worker_blas_threads": worker_blas_threads(workers),
     }
     info.update(meta or {})
     return OtocSeries(

@@ -7,21 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from otoclab import cli
 from otoclab.cli import (
     SCENARIOS,
     ConfigError,
-    _cap_blas_threads,
     _config_from_argv,
-    blas_threads,
     load_config,
     main,
     run,
-    scan_pool,
     write_csv,
 )
 from otoclab.kicked_rotor import coupled_floquet
 from otoclab.operators import SystemParams, cosine_observable, embed
 from otoclab.otoc import otoc_series_dense
+from otoclab.parallel import _cap_blas_threads, blas_threads, map_tasks
+
+
+def _task_blas_threads(_):
+    return blas_threads()
 
 
 class TestLoadConfig:
@@ -71,6 +74,15 @@ class TestLoadConfig:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             load_config(overrides=["scenario=quantum_darts"])
+
+    @pytest.mark.parametrize("eps", ["1.5", "1.0", "-0.1"])
+    def test_epsilon_out_of_range(self, eps, monkeypatch, capsys):
+        # refused before the Monte Carlo runs, not after it by mu_rmt
+        monkeypatch.setattr(cli, "rmt_otoc_mc", lambda *a: pytest.fail("ran"))
+        with pytest.raises(ConfigError, match=r"epsilon must lie in \[0, 1\)"):
+            load_config(overrides=["scenario=rmt_otoc", f"epsilon={eps}"])
+        assert main(["--scenario", "rmt_otoc", "--set", f"epsilon={eps}"]) == 1
+        assert capsys.readouterr().err.startswith("error: epsilon must lie")
 
     def test_unknown_path(self):
         # a misspelt path used to run the dense series silently
@@ -168,8 +180,7 @@ class TestScenarios:
         if blas_threads() is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         cap = max(1, len(os.sched_getaffinity(0)) // 2)
-        with scan_pool(2) as pool:
-            assert pool.submit(blas_threads).result() == cap
+        assert map_tasks(_task_blas_threads, range(2), 2) == [cap, cap]
 
     def test_dense_series_independent_of_blas_threads(self):
         # serial and pooled scans agree only if no kernel's value depends

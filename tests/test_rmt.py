@@ -185,13 +185,14 @@ class TestMonteCarloWorkers:
             _cap_blas_threads(default)
         serial, pooled = runs
         assert serial.meta["workers"] == 1
+        assert serial.meta["worker_blas_threads"] == 1  # this process's own cap
         assert pooled.meta["workers"] == min(2, _cpu_count())
         for name in ("c2", "c4", "c_err"):
             assert np.array_equal(getattr(serial, name), getattr(pooled, name))
 
     def test_budget_checked_before_workers(self, monkeypatch):
         started = []
-        monkeypatch.setattr(rmt, "worker_pool", lambda workers: started.append(workers))
+        monkeypatch.setattr(rmt, "map_tasks", lambda *args: started.append(args))
         o = cosine_observable(91, 0.35)
         spec = RmtEnsembleSpec(N=91, epsilon=0.1, T=1, samples=4)
         with pytest.raises(BudgetError, match="path=stochastic"):
@@ -225,5 +226,5 @@ class TestMonteCarloWorkers:
         workers = pool_size(4)
         assert sidecar["fits"]["monte_carlo"] == {
             "workers": workers,
-            "worker_blas_threads": worker_blas_threads(workers) if workers > 1 else blas_threads(),
+            "worker_blas_threads": worker_blas_threads(workers),
         }
