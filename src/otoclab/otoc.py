@@ -11,7 +11,9 @@ V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
 and ||A(t)||_F^2 = sum W.  The stochastic path takes for S a block Z of
 random-phase probe vectors, E[Z Z^dag] = I, and builds no product-space
-matrix.  Observables are subsystem factors from :func:`otoclab.operators.embed`;
+matrix: it propagates PROBE_BLOCK probes at a time, in T(T+3) O(N^3)
+Floquet applications per probe over T kicks, and holds Z plus a few
+blocks.  Observables are subsystem factors from :func:`otoclab.operators.embed`;
 C_inf is :func:`saturation_value` of them.
 Both paths take either side for either observable: A = O1 x I against
 B = I x O2 is the bipartite OTOC, and B = O2 x I the same-subsystem one.
@@ -40,6 +42,9 @@ LYAPUNOV_FLOOR = 1e-12
 
 # Largest relative drift of ||A(t)||_F that a unitary kick may show.
 NORM_DRIFT_TOL = 1e-10
+
+# Probe vectors propagated together on the stochastic path.
+PROBE_BLOCK = 32
 
 
 @dataclass
@@ -225,6 +230,11 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     of C2 and C, and ``c_err`` is the standard error of the latter.  A0 and
     B0 come from :func:`otoclab.operators.embed` and are applied through
     their N x N factors, so no budget applies.
+
+    The probes run PROBE_BLOCK at a time.  Per block, f = U^t B z and
+    g = U^t z advance by one forward kick per step, and A f and A g go back
+    by t adjoint kicks: T(T+3) Floquet applications per probe over the
+    series.  Besides Z, a few blocks are alive at once.
     """
     if probes < 16:
         raise ValueError("need at least 16 probe vectors")
@@ -234,34 +244,35 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     a, b = A0.factors, B0.factors
     Z = np.exp(2j * np.pi * rng.random((N**2, probes)))
 
-    def heisenberg_apply(batch, t):
-        out = batch
+    def back_propagate(x, t):
         for _ in range(t):
-            out = apply_floquet(F, out, "forward")
-        out = bipartite.apply_local(out, *a)
-        for _ in range(t):
-            out = apply_floquet(F, out, "adjoint")
-        return out
+            x = apply_floquet(F, x, "adjoint")
+        return x
 
-    c2_mean, c4_mean, c_err = [], [], []
-    for t in range(T + 1):
-        # y first, so that A(t) Z is not alive while y propagates (peak memory)
-        y = heisenberg_apply(bipartite.apply_local(Z, *b), t)
-        e2 = np.einsum("ip,ip->p", y.conj(), y).real
-        y -= bipartite.apply_local(heisenberg_apply(Z, t), *b)
-        e = 0.5 * np.einsum("ip,ip->p", y.conj(), y).real
-        c2_mean.append(e2.mean())
-        c4_mean.append(e2.mean() - e.mean())
-        c_err.append(e.std(ddof=1) / np.sqrt(probes))
+    e2 = np.empty((T + 1, probes))
+    e = np.empty((T + 1, probes))
+    for start in range(0, probes, PROBE_BLOCK):
+        cols = slice(start, start + PROBE_BLOCK)
+        g = Z[:, cols]
+        f = bipartite.apply_local(g, *b)
+        for t in range(T + 1):
+            if t:
+                f = apply_floquet(F, f, "forward")
+                g = apply_floquet(F, g, "forward")
+            y = back_propagate(bipartite.apply_local(f, *a), t)  # A(t) B z
+            e2[t, cols] = np.einsum("ip,ip->p", y.conj(), y).real
+            y -= bipartite.apply_local(back_propagate(bipartite.apply_local(g, *a), t), *b)
+            e[t, cols] = 0.5 * np.einsum("ip,ip->p", y.conj(), y).real
+    c2 = e2.mean(axis=1)
     info = {"params": F.params, "path": "stochastic", "probes": probes}
     info.update(meta or {})
     return OtocSeries(
         times=np.arange(T + 1),
-        c2=np.array(c2_mean),
-        c4=np.array(c4_mean),
+        c2=c2,
+        c4=c2 - e.mean(axis=1),
         c_infinity=c_inf,
         meta=info,
-        c_err=np.array(c_err),
+        c_err=e.std(axis=1, ddof=1) / np.sqrt(probes),
     )
 
 

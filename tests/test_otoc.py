@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otoclab.kicked_rotor import coupled_floquet
+from otoclab import otoc
+from otoclab.bipartite import apply_local
+from otoclab.kicked_rotor import apply_floquet, coupled_floquet
 from otoclab.operators import (
     BudgetError,
     OperatorMatrix,
@@ -14,6 +16,7 @@ from otoclab.operators import (
     gue_observable,
 )
 from otoclab.otoc import (
+    PROBE_BLOCK,
     OtocSeries,
     default_lyapunov_window,
     default_relaxation_window,
@@ -324,6 +327,95 @@ class TestCommutatorIdentity:
         stoch = otoc_series_stochastic(F, A0, B0, 12, 32, np.random.default_rng(N))
         assert np.all(dense.c >= 0)
         assert np.all(stoch.c >= 0)
+
+
+def _all_at_once_stochastic(F, A0, B0, T, probes, rng):
+    """The probe estimator with every probe in one batch and U^t z rebuilt
+    from z at every t: 2T(T+1) Floquet applications per probe.  The oracle
+    for the blocked, incremental path."""
+    a, b = A0.factors, B0.factors
+    Z = np.exp(2j * np.pi * rng.random((F.N**2, probes)))
+
+    def heisenberg_apply(batch, t):
+        out = batch
+        for _ in range(t):
+            out = apply_floquet(F, out, "forward")
+        out = apply_local(out, *a)
+        for _ in range(t):
+            out = apply_floquet(F, out, "adjoint")
+        return out
+
+    c2, c4, c_err = [], [], []
+    for t in range(T + 1):
+        y = heisenberg_apply(apply_local(Z, *b), t)
+        e2 = np.einsum("ip,ip->p", y.conj(), y).real
+        y -= apply_local(heisenberg_apply(Z, t), *b)
+        e = 0.5 * np.einsum("ip,ip->p", y.conj(), y).real
+        c2.append(e2.mean())
+        c4.append(e2.mean() - e.mean())
+        c_err.append(e.std(ddof=1) / np.sqrt(probes))
+    return np.array(c2), np.array(c4), np.array(c_err)
+
+
+def _rotor_pair(N, kind, b_side):
+    F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
+    if kind == "cosine":
+        o1 = o2 = cosine_observable(N, 0.35)
+    else:
+        o1, o2 = gue_observable(N, 1), gue_observable(N, 2)
+    return F, embed(o1, "left", N), embed(o2, b_side, N)
+
+
+class TestProbeBlocks:
+    """The stochastic series runs PROBE_BLOCK probes at a time and advances
+    U^t z and U^t B z by one kick per step."""
+
+    @pytest.mark.parametrize("probes", [16, 37, 3 * PROBE_BLOCK + 5])
+    @pytest.mark.parametrize("N", [6, 12])
+    @pytest.mark.parametrize("b_side", ["right", "left"])
+    @pytest.mark.parametrize("kind", ["cosine", "gue"])
+    def test_bit_identical_to_all_at_once(self, kind, b_side, N, probes):
+        F, A0, B0 = _rotor_pair(N, kind, b_side)
+        T = 5
+        series = otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(N + probes))
+        c2, c4, c_err = _all_at_once_stochastic(
+            F, A0, B0, T, probes, np.random.default_rng(N + probes)
+        )
+        assert np.array_equal(series.c2, c2)
+        assert np.array_equal(series.c4, c4)
+        assert np.array_equal(series.c_err, c_err)
+
+    @pytest.mark.parametrize("probes", [PROBE_BLOCK, 2 * PROBE_BLOCK + 5])
+    @pytest.mark.parametrize("T", [2, 4])
+    def test_floquet_applications(self, monkeypatch, T, probes):
+        # T(T+3) per block: 2T forward, T(T+1) adjoint; all at once
+        # recomputing U^t z at every t takes 2T(T+1)
+        F, A0, B0 = _rotor_pair(6, "cosine", "right")
+        calls = []
+
+        def counted(F, psi, direction):
+            calls.append(direction)
+            return apply_floquet(F, psi, direction)
+
+        monkeypatch.setattr(otoc, "apply_floquet", counted)
+        otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(0))
+        blocks = -(-probes // PROBE_BLOCK)
+        assert len(calls) == blocks * T * (T + 3)
+        assert calls.count("forward") == blocks * 2 * T
+
+    def test_holds_z_and_a_few_blocks(self):
+        N, T, probes = 16, 3, 8 * PROBE_BLOCK
+        F, A0, B0 = _rotor_pair(N, "cosine", "right")
+        tracemalloc.start()
+        try:
+            otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        z_bytes = 16 * N**2 * probes
+        draw_bytes = 8 * N**2 * probes
+        block_bytes = 16 * N**2 * PROBE_BLOCK
+        assert peak < z_bytes + draw_bytes + 8 * block_bytes
 
 
 def _synthetic_series(times, c_norm, c_inf=1024.0):
