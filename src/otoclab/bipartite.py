@@ -4,9 +4,10 @@ Index layout is row-major with the subsystem-1 index outer: a product-space
 vector of length N^2 reshapes to an (n1, n2) matrix, and an operator on the
 product space reshapes to the four-index tensor T[a1, a2, b1, b2].  All
 routines here cost O(N^3)..O(N^5) instead of the naive O(N^4)..O(N^6), and
-every product runs on contiguous (batched) matrices, so no step copies a
-transposed operator.  The dense kick runs in place in two operators, A and
-a caller's scratch buffer, and allocates nothing of operator size.
+every product runs on BLAS-able (batched, possibly strided) matrices, so no
+step copies a transposed operator.  The dense kick runs in place in A, in
+blocks of rows and then of columns through a caller's scratch, which may be
+a fraction of an operator, and allocates nothing of operator size.
 """
 
 import numpy as np
@@ -47,13 +48,32 @@ def right_multiply_embedded(X, U1=None, U2=None):
 
 def kron_conjugate(U1, U2, A, work):
     """A <- (U1 x U2)^dag A (U1 x U2) in place, without forming the Kronecker
-    product: four contiguous matmuls, written alternately into the scratch
-    ``work`` (A's shape) and A."""
-    n = split_dim(A.shape[0])
-    np.matmul(U1.conj().T, A.reshape(n, -1), out=work.reshape(n, -1))
-    np.matmul(U2.conj().T, work.reshape(n, n, -1), out=A.reshape(n, n, -1))
-    np.matmul(A.reshape(-1, n), U2, out=work.reshape(-1, n))
-    np.matmul(U1.T, work.reshape(-1, n, n), out=A.reshape(-1, n, n))
+    product, in two blocked passes through the scratch ``work``.
+
+    The row pass takes w contiguous rows at a time to A (U1 x U2); the
+    column pass takes w columns at a time, as a strided view of A, to
+    (U1 x U2)^dag A.  Each pass is two matmuls, one into ``work`` and one
+    back into A, on BLAS-able operands, so nothing is copied.  The block
+    width is w = min(dim, work.size // dim); ``work`` needs at least dim
+    entries, and its contents are overwritten.
+    """
+    dim = A.shape[0]
+    n = split_dim(dim)
+    w = min(dim, work.size // dim)
+    if w < 1:
+        raise ValueError(f"scratch of {work.size} entries is below dim = {dim}")
+    buf = work.reshape(-1)
+    for r in range(0, dim, w):
+        blk = A[r:r + w]
+        s = buf[:blk.size].reshape(-1, n)
+        np.matmul(blk.reshape(-1, n), U2, out=s)
+        np.matmul(U1.T, s.reshape(-1, n, n), out=blk.reshape(-1, n, n))
+    U1h, U2h = U1.conj().T, U2.conj().T
+    for c in range(0, dim, w):
+        X = A[:, c:c + w].reshape(n, n, -1)
+        S = buf[:X.size].reshape(X.shape)
+        np.matmul(U1h, X.transpose(1, 0, 2), out=S)
+        np.matmul(U2h, S.transpose(1, 0, 2), out=X)
 
 
 def diag_conjugate(d, A):
@@ -65,10 +85,11 @@ def diag_conjugate(d, A):
 def trace_product(X, Y):
     """Hilbert-Schmidt product Tr[X^dag Y]; equals Tr[X Y] for Hermitian X.
 
-    Summed as one dot product per row.  Two complex dim x dim buffers fit
-    DENSE_BUDGET_BYTES = 2^31 only for dim <= 2^13, so no budgeted row is
-    longer: short enough that OpenBLAS runs each dot on one thread, and the
-    value is bit-identical for every BLAS thread count; one ``np.vecdot``
-    over the whole matrix would split its sum across threads.
+    Summed as one dot product per row.  A(t) and the kick's scratch fit
+    DENSE_BUDGET_BYTES = 2^30 + KICK_SCRATCH_BYTES only for dim <= 2^13, so
+    no budgeted row is longer: short enough that OpenBLAS runs each dot on
+    one thread, and the value is bit-identical for every BLAS thread count;
+    one ``np.vecdot`` over the whole matrix would split its sum across
+    threads.
     """
     return np.vecdot(X, Y).sum()

@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Bytes of the dense path's two complex dim x dim buffers, A(t) and the kick's
-# scratch: dim <= 2^13 (N = 90).  Larger systems must use the stochastic path.
-DENSE_BUDGET_BYTES = 2**31
+# The dense kick's scratch is at most KICK_SCRATCH_BYTES: one whole operator
+# up to N = 32, a block of rows or columns above.  DENSE_BUDGET_BYTES is 1 GiB
+# for A(t) plus that scratch, so dim <= 2^13 (N = 90).  Larger systems must
+# use the stochastic path.
+KICK_SCRATCH_BYTES = 2**25
+DENSE_BUDGET_BYTES = 2**30 + KICK_SCRATCH_BYTES
 
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
@@ -24,12 +27,17 @@ class BudgetError(ValueError):
     """The dense path's buffers would exceed the memory budget."""
 
 
+def kick_scratch_bytes(dim):
+    """Bytes of the dense kick's scratch for a dim x dim operator."""
+    return min(16 * dim**2, KICK_SCRATCH_BYTES)
+
+
 def check_budget(dim):
-    need = 2 * 16 * dim**2  # two complex dim x dim buffers
+    need = 16 * dim**2 + kick_scratch_bytes(dim)
     if need > DENSE_BUDGET_BYTES:
         raise BudgetError(
-            f"dense dimension {dim} needs {need} bytes for two complex buffers, "
-            f"over the budget of {DENSE_BUDGET_BYTES} bytes; "
+            f"dense dimension {dim} needs {need} bytes for A(t) and the kick's "
+            f"scratch, over the budget of {DENSE_BUDGET_BYTES} bytes; "
             "use path=stochastic for larger systems"
         )
 

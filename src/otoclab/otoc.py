@@ -5,7 +5,9 @@ A evolves in the Heisenberg picture, one kick per step.  For Hermitian A(t)
 and B every path evaluates C2 = ||A(t) B S||_F^2 and C = ||[A(t), B] S||_F^2
 / 2, so C >= 0 by construction, and C4 = C2 - C.  The dense path takes S = I
 and conjugates the full product-space A in place, through the Kronecker
-structure of the propagator, in O(N^5) per step and two operators of memory.
+structure of the propagator, in O(N^5) per step: two blocked passes through
+a scratch of at most KICK_SCRATCH_BYTES, so it holds one operator of memory
+plus that scratch.
 Its traces take one O(N^4) pass: for B = I x O or O x I, O = V diag(lam)
 V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
@@ -28,7 +30,12 @@ from scipy.special import j0
 
 from . import bipartite
 from .kicked_rotor import apply_floquet
-from .operators import Embedded, OperatorMatrix, check_budget
+from .operators import (
+    Embedded,
+    OperatorMatrix,
+    check_budget,
+    kick_scratch_bytes,
+)
 
 # First zero of the Bessel function J0; mu(b) diverges there.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -129,7 +136,8 @@ def heisenberg_step(A, F):
         raise ValueError(f"operator dimension {A.dim} != N^2 = {F.N ** 2}")
     check_budget(A.dim)
     out = A.entries.copy()
-    bipartite.kron_conjugate(F.U1.entries, F.U2.entries, out, np.empty_like(out))
+    work = np.empty(kick_scratch_bytes(A.dim) // 16, complex)
+    bipartite.kron_conjugate(F.U1.entries, F.U2.entries, out, work)
     bipartite.diag_conjugate(F.Ub_diag, out)
     return OperatorMatrix(out, role=A.role)
 
@@ -182,11 +190,13 @@ def kicked_c2_c4(A0, B0, kicks):
 
     ``kicks`` yields one ``(U1, U2, d)`` per step; a step takes A to
     D^dag (U1 x U2)^dag A (U1 x U2) D with D = diag(d), in place in A(0) =
-    ``A0.dense()`` with one scratch buffer.  Returns two arrays for t = 0 ..
-    number of kicks.  Every kick checks that ||A(t)||_F stays at ||A(0)||_F.
+    ``A0.dense()``, through a flat scratch of min(16 dim^2,
+    KICK_SCRATCH_BYTES) bytes: the whole operator up to N = 32, 1/8 of it at
+    N = 64.  Returns two arrays for t = 0 .. number of kicks.  Every kick
+    checks that ||A(t)||_F stays at ||A(0)||_F.
     """
     A = A0.dense()
-    work = np.empty_like(A)
+    work = np.empty(kick_scratch_bytes(A0.dim) // 16, complex)
     o = B0.op.entries
     lam, V = np.diagonal(o).real, None
     if np.any(o - np.diag(lam)):  # rotate the traces into O's eigenbasis
@@ -207,9 +217,9 @@ def kicked_c2_c4(A0, B0, kicks):
 def otoc_series_dense(F, A0, B0, T, meta=None):
     """Exact-trace OTOC series for Hermitian observables A0, B0.
 
-    Both come from :func:`otoclab.operators.embed`.  A(t) and the kick's
-    scratch are the two dense N^2 x N^2 matrices, within the budget; the
-    traces use B0's local factor.
+    Both come from :func:`otoclab.operators.embed`.  A(t) is the one dense
+    N^2 x N^2 matrix; with the kick's scratch of at most KICK_SCRATCH_BYTES
+    it is within the budget.  The traces use B0's local factor.
     """
     _check_embedded(F.N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
@@ -234,7 +244,8 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     The probes run PROBE_BLOCK at a time.  Per block, f = U^t B z and
     g = U^t z advance by one forward kick per step, and A f and A g go back
     by t adjoint kicks: T(T+3) Floquet applications per probe over the
-    series.  Besides Z, a few blocks are alive at once.
+    series.  Besides Z, a few blocks are alive at once; drawing Z holds it
+    and its real phases, half its size.
     """
     if probes < 16:
         raise ValueError("need at least 16 probe vectors")
@@ -242,7 +253,17 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     _check_embedded(N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
     a, b = A0.factors, B0.factors
-    Z = np.exp(2j * np.pi * rng.random((N**2, probes)))
+    # Z = exp(2 pi i u) is written about one block of rows at a time, so the
+    # draw holds Z and u (8 bytes an entry), not Z and a complex temporary.
+    # u itself is drawn whole: freeing it raises glibc's dynamic mmap and
+    # trim thresholds above the probe blocks' working set, so their many
+    # temporaries reuse heap pages instead of faulting in fresh ones.
+    u = rng.random((N**2, probes))
+    Z = np.empty(u.shape, dtype=complex)
+    k = max(1, N**2 * PROBE_BLOCK // probes)
+    for r in range(0, N**2, k):
+        Z[r:r + k] = np.exp(2j * np.pi * u[r:r + k])
+    del u
 
     def back_propagate(x, t):
         for _ in range(t):

@@ -49,9 +49,9 @@ class TestApplyLocal:
 
 
 class TestKronConjugate:
-    @given(n=st.integers(2, 5), seed=st.integers(0, 1000))
+    @given(n=st.integers(2, 5), seed=st.integers(0, 1000), data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_matches_dense(self, n, seed):
+    def test_matches_dense(self, n, seed, data):
         rng = np.random.default_rng(seed)
         U1 = _random_complex(rng, n, n)
         U2 = _random_complex(rng, n, n)
@@ -60,6 +60,22 @@ class TestKronConjugate:
         want = U.conj().T @ A @ U
         bipartite.kron_conjugate(U1, U2, A, np.empty_like(A))
         assert np.allclose(A, want)
+        # a flat scratch of dim..dim^2 entries: blocks of 1..dim rows and
+        # columns, the last one partial when w does not divide dim
+        size = data.draw(st.integers(n * n, n**4), label="work size")
+        want = U.conj().T @ A @ U
+        bipartite.kron_conjugate(U1, U2, A, np.full(size, np.nan, complex))
+        assert np.allclose(A, want)
+
+    def test_scratch_smaller_than_dim_raises(self):
+        rng = np.random.default_rng(7)
+        n = 3
+        A = _random_complex(rng, n * n, n * n)
+        U1 = _random_complex(rng, n, n)
+        before = A.copy()
+        with pytest.raises(ValueError, match="below dim"):
+            bipartite.kron_conjugate(U1, U1, A, np.empty(n * n - 1, complex))
+        assert np.array_equal(A, before)
 
     def test_scratch_contents_do_not_leak(self):
         # work is pure scratch: NaN left in it must not reach the result
