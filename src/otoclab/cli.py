@@ -21,10 +21,11 @@ execution produce identical results.
 
 Workers: ``rate_scan`` runs its points, and ``rmt_otoc`` its samples,
 through :func:`otoclab.parallel.map_tasks`, on min(threads, points) and
-min(samples, BLAS threads, cpus) processes, each capped to ``cpus //
-workers`` BLAS threads, and in this process when that is one; the
-``rmt_otoc`` sidecar records its count under ``fits.monte_carlo``.  No
-result depends on the number of workers.
+:func:`otoclab.parallel.pool_size` processes (min(samples, BLAS threads,
+cpus), and at most one per POOL_MIN_WORK multiply-adds of the kicks), each
+capped to ``cpus // workers`` BLAS threads, and in this process when that
+is one; the ``rmt_otoc`` sidecar records its count under
+``fits.monte_carlo``.  No result depends on the number of workers.
 """
 
 import argparse

@@ -165,12 +165,21 @@ class Embedded:
         return (m, None) if self.side == "left" else (None, m)
 
     def dense(self):
-        """The dim x dim Kronecker product, checked against the budget."""
+        """The dim x dim Kronecker product, checked against the budget: the
+        factor written into zeros once per index i of the identity, through
+        the strided view of the (op, identity) index pairs at (i, i)."""
         check_budget(self.dim)
-        eye = np.eye(self.n_other)
+        m, k = self.op.dim, self.n_other
+        out = np.zeros((self.dim, self.dim), complex)
         if self.side == "left":
-            return np.kron(self.op.entries, eye)
-        return np.kron(eye, self.op.entries)
+            view = out.reshape(m, k, m, k)
+            for i in range(k):
+                view[:, i, :, i] = self.op.entries
+        else:
+            view = out.reshape(k, m, k, m)
+            for i in range(k):
+                view[i, :, i, :] = self.op.entries
+        return out
 
 
 def embed(op, side, N_other):

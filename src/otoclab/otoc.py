@@ -5,9 +5,11 @@ A evolves in the Heisenberg picture, one kick per step.  For Hermitian A(t)
 and B every path evaluates C2 = ||A(t) B S||_F^2 and C = ||[A(t), B] S||_F^2
 / 2, so C >= 0 by construction, and C4 = C2 - C.  The dense path takes S = I
 and conjugates the full product-space A in place, through the Kronecker
-structure of the propagator, in O(N^5) per step: two blocked passes through
-a scratch of at most KICK_SCRATCH_BYTES, so it holds one operator of memory
-plus that scratch.
+structure of the propagator, in O(N^5) per step: one call of
+:func:`otoclab.bipartite.kron_conjugate`, two blocked passes through a
+scratch of at most KICK_SCRATCH_BYTES that apply the diagonal interaction
+inside their products, so it holds one operator of memory plus that scratch
+and an N^3 factor stack.
 Its traces take one O(N^4) pass: for B = I x O or O x I, O = V diag(lam)
 V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
@@ -137,8 +139,7 @@ def heisenberg_step(A, F):
     check_budget(A.dim)
     out = A.entries.copy()
     work = np.empty(kick_scratch_bytes(A.dim) // 16, complex)
-    bipartite.kron_conjugate(F.U1.entries, F.U2.entries, out, work)
-    bipartite.diag_conjugate(F.Ub_diag, out)
+    bipartite.kron_conjugate(F.U1.entries, F.U2.entries, out, work, F.Ub_diag)
     return OperatorMatrix(out, role=A.role)
 
 
@@ -189,7 +190,8 @@ def kicked_c2_c4(A0, B0, kicks):
     """C2(t) and C4(t) of the embedded Hermitian A(0) against the embedded B0.
 
     ``kicks`` yields one ``(U1, U2, d)`` per step; a step takes A to
-    D^dag (U1 x U2)^dag A (U1 x U2) D with D = diag(d), in place in A(0) =
+    D^dag (U1 x U2)^dag A (U1 x U2) D with D = diag(d) in one
+    :func:`otoclab.bipartite.kron_conjugate`, in place in A(0) =
     ``A0.dense()``, through a flat scratch of min(16 dim^2,
     KICK_SCRATCH_BYTES) bytes: the whole operator up to N = 32, 1/8 of it at
     N = 64.  Returns two arrays for t = 0 .. number of kicks.  Every kick
@@ -205,8 +207,7 @@ def kicked_c2_c4(A0, B0, kicks):
     c2, c4, norm0 = _traces(A, B0, lam, V)
     c2s, c4s = [c2], [c4]
     for t, (U1, U2, d) in enumerate(kicks, start=1):
-        bipartite.kron_conjugate(U1, U2, A, work)
-        bipartite.diag_conjugate(d, A)
+        bipartite.kron_conjugate(U1, U2, A, work, d)
         c2, c4, norm = _traces(A, B0, lam, V)
         _check_norm(norm, norm0, t)
         c2s.append(c2)

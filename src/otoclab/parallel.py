@@ -3,9 +3,12 @@
 :func:`map_tasks` is the one place that starts processes.  The process's
 OpenBLAS thread count is its CPU budget; k workers spend it on k
 independent tasks instead, each capped to ``cpus // k`` BLAS threads (at
-least one), while the calling process keeps its own count.  Workers are
-forked whatever the default start method, so they start with the caller's
-modules and their state; OpenBLAS stops its threads across a fork.
+least one), while the calling process keeps its own count.
+:func:`pool_size` also sizes the pool by the work, one worker per
+POOL_MIN_WORK multiply-adds, so a job shorter than a worker's start-up runs
+in this process.  Workers are forked whatever the default start method, so
+they start with the caller's modules and their state; OpenBLAS stops its
+threads across a fork.
 """
 
 import ctypes
@@ -55,14 +58,22 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def pool_size(tasks):
-    """Workers for ``tasks`` independent tasks: one per BLAS thread of this
-    process, at most one per task and per CPU; 1 (run in-process) where
-    OpenBLAS is not found."""
+# Complex multiply-adds of work per pool worker: about 40 ms of the dense
+# kick's zgemms on two threads at N = 16, the order of the 60-100 ms that
+# forking and joining a pool takes on a 2-vCPU host.  Less work runs in
+# process.
+POOL_MIN_WORK = 2**27
+
+
+def pool_size(tasks, work):
+    """Workers for ``tasks`` independent tasks of ``work`` complex
+    multiply-adds in all: one per BLAS thread of this process, at most one
+    per task, per CPU and per POOL_MIN_WORK of the work; 1 (run in-process)
+    where OpenBLAS is not found."""
     threads = blas_threads()
     if threads is None:
         return 1
-    return max(1, min(tasks, threads, _cpu_count()))
+    return max(1, min(tasks, threads, _cpu_count(), work // POOL_MIN_WORK))
 
 
 def worker_blas_threads(workers):

@@ -9,7 +9,8 @@ basis), with relaxation rate mu = -4 ln|sinc(pi eps)|.
 
 The Monte Carlo runs its realizations through
 :func:`otoclab.parallel.map_tasks` on :func:`otoclab.parallel.pool_size`
-workers; each realization draws from its own seed substream, so the result
+workers, sized by the kicks' multiply-adds, so a small ensemble runs in
+process; each realization draws from its own seed substream, so the result
 does not depend on the number of workers.
 """
 
@@ -121,7 +122,8 @@ def rmt_otoc_mc(spec, O1, O2, meta=None):
     B0 = embed(O2, "right", spec.N)
 
     sample = partial(_sample_c2_c4, spec, A0, B0)
-    workers = pool_size(spec.samples)
+    # T kicks per sample, each four products of N^5 complex multiply-adds
+    workers = pool_size(spec.samples, spec.samples * spec.T * 4 * spec.N**5)
     rows = map_tasks(sample, range(spec.samples), workers)
     c2, c4 = (np.array(r) for r in zip(*rows))
 

@@ -48,6 +48,10 @@ class TestApplyLocal:
             assert np.allclose(got[:, j], bipartite.apply_local(batch[:, j], U1, U2))
 
 
+def _unimodular(rng, size):
+    return np.exp(2j * np.pi * rng.random(size))
+
+
 class TestKronConjugate:
     @given(n=st.integers(2, 5), seed=st.integers(0, 1000), data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -56,15 +60,16 @@ class TestKronConjugate:
         U1 = _random_complex(rng, n, n)
         U2 = _random_complex(rng, n, n)
         A = _random_complex(rng, n * n, n * n)
-        U = np.kron(U1, U2)
+        d = _unimodular(rng, n * n)
+        U = np.kron(U1, U2) * d  # (U1 x U2) D
         want = U.conj().T @ A @ U
-        bipartite.kron_conjugate(U1, U2, A, np.empty_like(A))
+        bipartite.kron_conjugate(U1, U2, A, np.empty_like(A), d)
         assert np.allclose(A, want)
         # a flat scratch of dim..dim^2 entries: blocks of 1..dim rows and
         # columns, the last one partial when w does not divide dim
         size = data.draw(st.integers(n * n, n**4), label="work size")
         want = U.conj().T @ A @ U
-        bipartite.kron_conjugate(U1, U2, A, np.full(size, np.nan, complex))
+        bipartite.kron_conjugate(U1, U2, A, np.full(size, np.nan, complex), d)
         assert np.allclose(A, want)
 
     def test_scratch_smaller_than_dim_raises(self):
@@ -74,7 +79,9 @@ class TestKronConjugate:
         U1 = _random_complex(rng, n, n)
         before = A.copy()
         with pytest.raises(ValueError, match="below dim"):
-            bipartite.kron_conjugate(U1, U1, A, np.empty(n * n - 1, complex))
+            bipartite.kron_conjugate(
+                U1, U1, A, np.empty(n * n - 1, complex), _unimodular(rng, n * n)
+            )
         assert np.array_equal(A, before)
 
     def test_scratch_contents_do_not_leak(self):
@@ -84,14 +91,28 @@ class TestKronConjugate:
         U1 = _random_complex(rng, n, n)
         U2 = _random_complex(rng, n, n)
         A = _random_complex(rng, n * n, n * n)
-        U = np.kron(U1, U2)
+        d = _unimodular(rng, n * n)
+        U = np.kron(U1, U2) * d
         want = U.conj().T @ A @ U
-        work = np.full_like(A, np.nan)
-        bipartite.kron_conjugate(U1, U2, A, work)
+        bipartite.kron_conjugate(U1, U2, A, np.full_like(A, np.nan), d)
         assert np.allclose(A, want)
-        d = np.exp(1j * rng.random(n * n))
-        bipartite.diag_conjugate(d, A)
-        assert np.allclose(A, np.diag(d.conj()) @ want @ np.diag(d))
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_phase_matches_diag_conjugate(self, blocks):
+        # folding D into the products equals the kick without it followed
+        # by the separate diagonal conjugation
+        rng = np.random.default_rng(8)
+        n = 6
+        U1 = _random_complex(rng, n, n)
+        U2 = _random_complex(rng, n, n)
+        A = _random_complex(rng, n * n, n * n)
+        d = _unimodular(rng, n * n)
+        work = np.full(n**4 // blocks, np.nan, complex)
+        want = A.copy()
+        bipartite.kron_conjugate(U1, U2, want, work, np.ones(n * n))
+        bipartite.diag_conjugate(d, want)
+        bipartite.kron_conjugate(U1, U2, A, work, d)
+        assert np.abs(A - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_diag_conjugate():

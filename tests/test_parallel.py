@@ -5,7 +5,7 @@ import pytest
 
 from otoclab import parallel
 from otoclab.operators import gue_observable
-from otoclab.parallel import map_tasks, task_rng, worker_blas_threads
+from otoclab.parallel import POOL_MIN_WORK, map_tasks, pool_size, task_rng, worker_blas_threads
 
 MARK = "imported"
 
@@ -50,6 +50,20 @@ class TestMapTasks:
         (pool,) = pools
         assert pool["max_workers"] == 2
         assert pool["initargs"] == (worker_blas_threads(2),)
+
+
+class TestPoolSize:
+    def test_one_worker_per_min_work(self, monkeypatch):
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 4)
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 4)
+        assert pool_size(10, POOL_MIN_WORK - 1) == 1
+        assert pool_size(10, 3 * POOL_MIN_WORK) == 3
+        assert pool_size(2, 100 * POOL_MIN_WORK) == 2  # one per task
+        assert pool_size(10, 100 * POOL_MIN_WORK) == 4  # one per thread
+
+    def test_in_process_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(parallel, "blas_threads", lambda: None)
+        assert pool_size(10, 100 * POOL_MIN_WORK) == 1
 
 
 class TestTaskRng:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otoclab import rmt
+from otoclab import parallel, rmt
 from otoclab.cli import load_config, run
 from otoclab.operators import BudgetError, cosine_observable, embed, gue_observable
 from otoclab.parallel import (
@@ -173,8 +173,9 @@ class TestMonteCarloWorkers:
         default = blas_threads()
         if default is None:
             pytest.skip("numpy is not linked against OpenBLAS")
-        N = 8
-        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=5, samples=10, rng_seed=4)
+        # enough kicks for a pool: 10 samples of 8 kicks at N = 16
+        N = 16
+        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=8, samples=10, rng_seed=4)
         o1, o2 = gue_observable(N, 1), gue_observable(N, 2)
         runs = []
         try:
@@ -201,10 +202,11 @@ class TestMonteCarloWorkers:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_call(self, monkeypatch):
-        N = 6
-        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=3, samples=6, rng_seed=2)
+        N = 16
+        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=8, samples=10, rng_seed=2)
         o = cosine_observable(N, 0.35)
-        rmt_otoc_mc(spec, o, o)
+        series = rmt_otoc_mc(spec, o, o)
+        assert series.meta["workers"] == pool_size(10, 10 * 8 * 4 * N**5)
         assert multiprocessing.active_children() == []
         # a non-unitary interaction trips the ||A(t)||_F drift check in
         # every realization; forked workers inherit the patch
@@ -223,8 +225,16 @@ class TestMonteCarloWorkers:
                                  "epsilon=0.3"])
         record = run(cfg, out_dir=tmp_path)
         sidecar = json.loads(Path(record.files[0]).with_suffix(".json").read_text())
-        workers = pool_size(4)
-        assert sidecar["fits"]["monte_carlo"] == {
-            "workers": workers,
-            "worker_blas_threads": worker_blas_threads(workers),
+        assert sidecar["fits"]["monte_carlo"] == {  # too little work for a pool
+            "workers": 1,
+            "worker_blas_threads": worker_blas_threads(1),
         }
+
+    def test_small_ensemble_runs_in_process(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        N = 8
+        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=6, samples=2, rng_seed=1)
+        o = cosine_observable(N, 0.35)
+        assert rmt_otoc_mc(spec, o, o).meta["workers"] == 1
+        assert started == []
