@@ -50,6 +50,7 @@ from .otoc import (
     mu_standard_map,
     otoc_series_dense,
     otoc_series_stochastic,
+    unsaturated_points,
 )
 from .phasespace import (
     coherent_frame,
@@ -137,10 +138,7 @@ def load_config(path=None, overrides=()):
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in fields:
                 raise ConfigError(f"{origin}:{lineno}: unknown field {key!r}")
-            ftype = {"int": int, "float": float, "str": str, "tuple": tuple}[
-                fields[key] if isinstance(fields[key], str) else fields[key].__name__
-            ]
-            values[key] = _coerce(key, raw, ftype)
+            values[key] = _coerce(key, raw, fields[key])
 
     if path is not None:
         ingest(Path(path).read_text(), str(path))
@@ -340,16 +338,12 @@ def _pr_relaxation(pr, cfg):
     smallest gap."""
     gap = 1.0 - pr
     t_ef = ehrenfest_time(cfg.N, max(cfg.K1, cfg.K2))
-    t_min = int(np.ceil(t_ef)) + 1
-    floor = 2.0 * max(gap.min(), 1e-12)
     ts = np.arange(cfg.T + 1)
-    mask = (ts >= t_min) & (gap > floor)
-    if mask.sum() < 3:
-        raise ValueError("fewer than three unsaturated points past the Ehrenfest time")
-    slope, intercept, stderr = linear_fit(ts[mask], np.log(gap[mask]))
+    good = unsaturated_points(ts, gap, t_ef, 2.0 * max(gap.min(), 1e-12))
+    slope, intercept, stderr = linear_fit(ts[good], np.log(gap[good]))
     return {
         "slope": slope, "intercept": intercept, "slope_stderr": stderr,
-        "window": [int(ts[mask][0]), int(ts[mask][-1])],
+        "window": [int(ts[good[0]]), int(ts[good[-1]])],
     }
 
 

@@ -32,12 +32,7 @@ from scipy.special import j0
 
 from . import bipartite
 from .kicked_rotor import apply_floquet
-from .operators import (
-    Embedded,
-    OperatorMatrix,
-    check_budget,
-    kick_scratch_bytes,
-)
+from .operators import Embedded, OperatorMatrix, kick_scratch_bytes
 
 # First zero of the Bessel function J0; mu(b) diverges there.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -126,21 +121,6 @@ def ehrenfest_time(N, K):
     if K <= 2:
         raise ValueError("Ehrenfest estimate needs K > 2")
     return math.log(N) / math.log(K / 2)
-
-
-def heisenberg_step(A, F):
-    """One Heisenberg kick: A -> U^dag A U through the propagator structure.
-
-    The kick preserves Hermiticity exactly, so the result is not symmetrized;
-    the role check of :class:`OperatorMatrix` verifies it instead.
-    """
-    if A.dim != F.N**2:
-        raise ValueError(f"operator dimension {A.dim} != N^2 = {F.N ** 2}")
-    check_budget(A.dim)
-    out = A.entries.copy()
-    work = np.empty(kick_scratch_bytes(A.dim) // 16, complex)
-    bipartite.kron_conjugate(F.U1.entries, F.U2.entries, out, work, F.Ub_diag)
-    return OperatorMatrix(out, role=A.role)
 
 
 def _check_norm(norm, norm0, t):
@@ -254,17 +234,14 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     _check_embedded(N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
     a, b = A0.factors, B0.factors
-    # Z = exp(2 pi i u) is written about one block of rows at a time, so the
-    # draw holds Z and u (8 bytes an entry), not Z and a complex temporary.
-    # u itself is drawn whole: freeing it raises glibc's dynamic mmap and
-    # trim thresholds above the probe blocks' working set, so their many
-    # temporaries reuse heap pages instead of faulting in fresh ones.
-    u = rng.random((N**2, probes))
-    Z = np.empty(u.shape, dtype=complex)
-    k = max(1, N**2 * PROBE_BLOCK // probes)
-    for r in range(0, N**2, k):
-        Z[r:r + k] = np.exp(2j * np.pi * u[r:r + k])
-    del u
+    # Z = exp(2 pi i u) is formed in place, so the draw holds Z and u (8
+    # bytes an entry), not Z and a complex temporary.  u is drawn whole:
+    # freeing it raises glibc's dynamic mmap and trim thresholds above the
+    # probe blocks' working set, so their many temporaries reuse heap pages
+    # instead of faulting in fresh ones.
+    Z = rng.random((N**2, probes)).astype(complex)
+    Z *= 2j * np.pi
+    np.exp(Z, out=Z)
 
     def back_propagate(x, t):
         for _ in range(t):
@@ -316,25 +293,41 @@ def default_lyapunov_window(series):
     return (int(t0), int(t0) + 2)
 
 
+def _log_linear_fit(times, y, window, nonpositive_error):
+    """Slope of ln y(t) over the closed window, at least three points."""
+    t_min, t_max = window
+    mask = (times >= t_min) & (times <= t_max)
+    if mask.sum() < 3:
+        raise ValueError("fit window must contain at least three points")
+    y = y[mask]
+    if np.any(y <= 0):
+        raise ValueError(nonpositive_error)
+    slope, intercept, stderr = linear_fit(times[mask], np.log(y))
+    return FitResult(slope, intercept, stderr, (int(t_min), int(t_max)))
+
+
 def fit_lyapunov_phase(series, window=None):
     """Slope of ln C(t) in the growth phase; estimates 2 lambda_L."""
     if window is None:
         window = default_lyapunov_window(series)
-    t_min, t_max = window
-    mask = (series.times >= t_min) & (series.times <= t_max)
-    if mask.sum() < 3:
-        raise ValueError("fit window must contain at least three points")
-    c = series.c[mask]
-    if np.any(c <= 0):
-        raise ValueError("fit window contains nonpositive C(t)")
-    slope, intercept, stderr = linear_fit(series.times[mask], np.log(c))
-    return FitResult(slope, intercept, stderr, (int(t_min), int(t_max)))
+    return _log_linear_fit(
+        series.times, series.c, window, "fit window contains nonpositive C(t)"
+    )
 
 
 def relaxation_noise_floor(series):
     if series.c_err is not None:
         return float(max(series.c_err[-1] / series.c_infinity, DENSE_NOISE_FLOOR))
     return DENSE_NOISE_FLOOR
+
+
+def unsaturated_points(times, gap, t_ef, floor):
+    """Indices of the kicks from ceil(t_ef) + 1 on whose gap lies above floor;
+    at least three, or ValueError."""
+    good = np.flatnonzero((times >= int(np.ceil(t_ef)) + 1) & (gap > floor))
+    if len(good) < 3:
+        raise ValueError("fewer than three unsaturated points past the Ehrenfest time")
+    return good
 
 
 def default_relaxation_window(series, t_ef=None):
@@ -344,25 +337,16 @@ def default_relaxation_window(series, t_ef=None):
         if p is None:
             raise ValueError("series carries no params; pass t_ef explicitly")
         t_ef = ehrenfest_time(p.N, max(p.K1, p.K2))
-    gap = 1.0 - series.c_norm
     floor = 10.0 * relaxation_noise_floor(series)
-    t_min = int(np.ceil(t_ef)) + 1
-    good = np.flatnonzero((series.times >= t_min) & (gap > floor))
-    if len(good) < 3:
-        raise ValueError("fewer than three unsaturated points past the Ehrenfest time")
-    return (t_min, int(series.times[good[-1]]))
+    good = unsaturated_points(series.times, 1.0 - series.c_norm, t_ef, floor)
+    return (int(np.ceil(t_ef)) + 1, int(series.times[good[-1]]))
 
 
 def fit_relaxation_phase(series, window=None, t_ef=None):
     """Slope of ln(1 - C/C_inf) in the second phase; -slope estimates mu."""
     if window is None:
         window = default_relaxation_window(series, t_ef)
-    t_min, t_max = window
-    mask = (series.times >= t_min) & (series.times <= t_max)
-    if mask.sum() < 3:
-        raise ValueError("fit window must contain at least three points")
-    gap = 1.0 - series.c_norm[mask]
-    if np.any(gap <= 0):
-        raise ValueError("fit window contains saturated points (1 - C/C_inf <= 0)")
-    slope, intercept, stderr = linear_fit(series.times[mask], np.log(gap))
-    return FitResult(slope, intercept, stderr, (int(t_min), int(t_max)))
+    return _log_linear_fit(
+        series.times, 1.0 - series.c_norm, window,
+        "fit window contains saturated points (1 - C/C_inf <= 0)",
+    )

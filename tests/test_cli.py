@@ -324,6 +324,9 @@ class TestScenarioTable:
             ("weak_chaos", ["N=8", "T=4"], ("loglog_error", "at least two points")),
             ("pr_series", ["N=8", "T=4", "K1=1", "K2=1.5"],
              ("pr_relaxation_error", "needs K > 2")),
+            # t_EF = 1.29, so only t = 3 and 4 lie past it
+            ("pr_series", ["N=8", "T=4"],
+             ("pr_relaxation_error", "fewer than three unsaturated points")),
         ],
     )
     def test_failed_fit_keeps_the_series(self, scenario, sets, error, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from otoclab import otoc
-from otoclab.bipartite import apply_local
+from otoclab.bipartite import apply_local, kron_conjugate
 from otoclab.kicked_rotor import apply_floquet, coupled_floquet
 from otoclab.operators import (
     KICK_SCRATCH_BYTES,
@@ -24,7 +24,6 @@ from otoclab.otoc import (
     ehrenfest_time,
     fit_lyapunov_phase,
     fit_relaxation_phase,
-    heisenberg_step,
     linear_fit,
     mu_standard_map,
     otoc_series_dense,
@@ -105,22 +104,6 @@ class TestAnalyticRates:
     def test_ehrenfest_domain(self):
         with pytest.raises(ValueError):
             ehrenfest_time(64, 2.0)
-
-
-class TestHeisenbergStep:
-    def test_matches_dense_conjugation(self, small_system):
-        F, A0, _ = small_system
-        U = F.dense().entries
-        A = OperatorMatrix(A0.dense(), role="hermitian")
-        got = heisenberg_step(A, F)
-        want = U.conj().T @ A.entries @ U
-        assert np.allclose(got.entries, want)
-        assert got.role == "hermitian"
-
-    def test_dimension_check(self, small_system):
-        F, _, _ = small_system
-        with pytest.raises(ValueError):
-            heisenberg_step(cosine_observable(5, 0.35), F)
 
 
 class TestDenseSeries:
@@ -233,10 +216,10 @@ class TestKickInvariants:
     def test_hermiticity_survives_forty_kicks(self):
         N = 16
         F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
-        A = OperatorMatrix(embed(gue_observable(N, 11), "left", N).dense(), role="hermitian")
+        m = embed(gue_observable(N, 11), "left", N).dense()
+        work = np.empty(N**4, complex)
         for _ in range(40):
-            A = heisenberg_step(A, F)
-        m = A.entries
+            kron_conjugate(F.U1.entries, F.U2.entries, m, work, F.Ub_diag)
         assert np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max()
 
     def test_requires_hermitian_observables(self, small_system):
