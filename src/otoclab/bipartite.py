@@ -101,11 +101,8 @@ def diag_conjugate(d, A):
 def trace_product(X, Y):
     """Hilbert-Schmidt product Tr[X^dag Y]; equals Tr[X Y] for Hermitian X.
 
-    Summed as one dot product per row.  A(t) and the kick's scratch fit
-    DENSE_BUDGET_BYTES = 2^30 + KICK_SCRATCH_BYTES only for dim <= 2^13, so
-    no budgeted row is longer: short enough that OpenBLAS runs each dot on
-    one thread, and the value is bit-identical for every BLAS thread count;
-    one ``np.vecdot`` over the whole matrix would split its sum across
-    threads.
+    Summed as one dot product per row.  In the package it reduces only the
+    N x N weight matrix W, twice per evaluation of ``otoc._traces`` (C2 and
+    C); perfbench pins its 8 calls for a dense series of T = 3 kicks.
     """
     return np.vecdot(X, Y).sum()

@@ -34,9 +34,6 @@ class PhasePoint:
         if not all(0.0 <= v < 1.0 for v in vals):
             raise ValueError("phase-space coordinates must lie in [0, 1)")
 
-    def as_array(self):
-        return np.array([self.p1, self.q1, self.p2, self.q2])
-
 
 def _step_arrays(p1, q1, p2, q2, K1, K2, b):
     f12 = (b / _TWO_PI) * np.sin(_TWO_PI * (q1 + q2))
@@ -114,14 +111,16 @@ def poisson_otoc(x0, K1, K2, b, T):
     return np.array(out)
 
 
-def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, rng=None):
+def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, *, rng):
     """Slope of the ensemble-averaged log Poisson bracket; estimates 2 lambda_cl.
 
     The fit runs over the kicks ``fit_window``, (2, 5) when None.
 
-    Initial conditions are uniform on [0,1)^4.  Realizations where the
-    bracket vanishes identically inside the window are excluded (measure
-    zero up to roundoff); more than 1% exclusions aborts the estimate.
+    Initial conditions are drawn uniform on [0,1)^4 from ``rng``, a numpy
+    Generator the caller seeds; there is no unseeded default.  Realizations
+    where the bracket vanishes identically inside the window are excluded
+    (measure zero up to roundoff); more than 1% exclusions aborts the
+    estimate.
     At b = 0 the tangent map is block-diagonal, so dq1/dp2 vanishes
     identically and the estimate is refused before anything is drawn.
     """
@@ -132,8 +131,6 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, rng=None):
             "b = 0 decouples the rotors: the tangent map is block-diagonal, "
             "so the bracket dq1(t)/dp2(0) vanishes identically"
         )
-    if rng is None:
-        rng = np.random.default_rng()
     t_lo, t_hi = fit_window or (2, 5)
     p1, q1, p2, q2 = rng.random((4, ensemble))
     sin_q2_0_sq = np.sin(_TWO_PI * q2) ** 2

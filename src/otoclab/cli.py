@@ -43,6 +43,7 @@ from .classical import classical_lyapunov
 from .kicked_rotor import coupled_floquet
 from .operators import SystemParams, cosine_observable, embed, gue_observable
 from .otoc import (
+    FitResult,
     ehrenfest_time,
     fit_lyapunov_phase,
     fit_relaxation_phase,
@@ -340,11 +341,9 @@ def _pr_relaxation(pr, cfg):
     t_ef = ehrenfest_time(cfg.N, max(cfg.K1, cfg.K2))
     ts = np.arange(cfg.T + 1)
     good = unsaturated_points(ts, gap, t_ef, 2.0 * max(gap.min(), 1e-12))
-    slope, intercept, stderr = linear_fit(ts[good], np.log(gap[good]))
-    return {
-        "slope": slope, "intercept": intercept, "slope_stderr": stderr,
-        "window": [int(ts[good[0]]), int(ts[good[-1]])],
-    }
+    return FitResult(
+        *linear_fit(ts[good], np.log(gap[good])), (int(ts[good[0]]), int(ts[good[-1]]))
+    )
 
 
 def _run_pr_series(cfg, out, stem):
@@ -352,7 +351,7 @@ def _run_pr_series(cfg, out, stem):
     pr = pr_series(F, cfg.q0, cfg.p0, cfg.T)
     cols = {"t": list(range(cfg.T + 1)), "pr": pr.tolist()}
     fits = {}
-    _try_fit(fits, "pr_relaxation", lambda: _pr_relaxation(pr, cfg))
+    _try_fit(fits, "pr_relaxation", lambda: _fit_dict(_pr_relaxation(pr, cfg)))
     return cols, fits, []
 
 
@@ -367,7 +366,7 @@ def _run_husimi(cfg, out, stem):
         grid = reduced_husimi(rho_b, frame)
         # rows are p indices, columns q indices
         path = out / f"{stem}_grid_t{t}.csv"
-        np.savetxt(path, grid.values.T, delimiter=",", fmt="%.17g")
+        np.savetxt(path, grid.T, delimiter=",", fmt="%.17g")
         files.append(str(path))
     cols = {"t": times, "grid_file": [Path(f).name for f in files]}
     meta = {"husimi": {"normalization": float(cfg.N), "layout": "rows p, columns q"}}
@@ -413,21 +412,12 @@ def run(config, out_dir=None):
         wall_clock_s=time.time() - t_start,
         files=tuple([str(csv_path)] + extra_files),
     )
+    # the record's fields in order, with file names in place of the columns
+    sidecar = dataclasses.asdict(record)
+    del sidecar["columns"], sidecar["files"]
+    sidecar.update(csv=csv_path.name, extra_files=[Path(f).name for f in extra_files])
     with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "scenario": record.scenario,
-                "config": record.config,
-                "fits": record.fits,
-                "analytic": record.analytic,
-                "version": record.version,
-                "wall_clock_s": record.wall_clock_s,
-                "csv": csv_path.name,
-                "extra_files": [Path(f).name for f in extra_files],
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(sidecar, fh, indent=2)
     return record
 
 

@@ -90,23 +90,10 @@ def partial_trace_over_first(psi, N):
     return P.T @ P.conj()
 
 
-@dataclass(frozen=True)
-class HusimiGrid:
-    """Nonnegative quasi-probability on the N x N grid, sum fixed to N.
-
-    ``values[n, m]`` is the weight at grid point (q = n/N, p = m/N).
-    """
-
-    values: np.ndarray
-    normalization: float
-
-    @property
-    def N(self):
-        return self.values.shape[0]
-
-
 def reduced_husimi(rhoB, frame):
-    """Coherent-state diagonal <n,m|rho_B|n,m> on the frame grid."""
+    """Coherent-state diagonal <n,m|rho_B|n,m> on the frame grid: an N x N
+    array whose entry [n, m] is the weight at (q = n/N, p = m/N),
+    nonnegative and summing to N."""
     N = frame.N
     if rhoB.shape != (N, N):
         raise ValueError(f"density matrix shape {rhoB.shape} does not match frame")
@@ -114,12 +101,13 @@ def reduced_husimi(rhoB, frame):
     q = ((S.conj() @ rhoB) * S).sum(1).real
     q = np.clip(q, 0.0, None)  # tiny negatives are round-off
     q *= N / q.sum()
-    return HusimiGrid(values=q.reshape(N, N), normalization=float(N))
+    return q.reshape(N, N)
 
 
 def participation_ratio(grid):
-    """1 / sum Q^2: in (0, 1], with 1 the fully delocalized flat grid."""
-    return float(1.0 / np.sum(grid.values**2))
+    """1 / sum Q^2 of a :func:`reduced_husimi` grid: in (0, 1], with 1 the
+    fully delocalized flat grid."""
+    return float(1.0 / np.sum(grid**2))
 
 
 def pr_series(F, q0, p0, T, frame=None):

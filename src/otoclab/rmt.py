@@ -108,14 +108,15 @@ def _sample_c2_c4(spec, A0, B0, s):
     return kicked_c2_c4(A0, B0, _sampled_kicks(spec, task_rng(spec.rng_seed, s)))
 
 
-def rmt_otoc_mc(spec, O1, O2, meta=None):
+def rmt_otoc_mc(spec, O1, O2):
     """Monte Carlo OTOC over the random-matrix ensemble, exact traces per
     realization; returns the means of C2 and C4 and the standard error of C.
 
-    The realizations run on ``meta["workers"]`` processes, each with
-    ``meta["worker_blas_threads"]`` BLAS threads; with one worker they run
-    in this process, on its own BLAS threads.  The rows are gathered in
-    realization order, so the result is the same for every worker count."""
+    The realizations run on the returned series' ``.meta["workers"]``
+    processes, each with ``.meta["worker_blas_threads"]`` BLAS threads; with
+    one worker they run in this process, on its own BLAS threads.  The rows
+    are gathered in realization order, so the result is the same for every
+    worker count."""
     c_inf = saturation_value(O1, O2)
     check_budget(spec.N**2)  # before any worker starts
     A0 = embed(O1, "left", spec.N)
@@ -128,16 +129,14 @@ def rmt_otoc_mc(spec, O1, O2, meta=None):
     c2, c4 = (np.array(r) for r in zip(*rows))
 
     sqrt_s = np.sqrt(spec.samples)
-    info = {
-        "scenario": "rmt", "spec": spec, "path": "rmt_mc",
-        "workers": workers, "worker_blas_threads": worker_blas_threads(workers),
-    }
-    info.update(meta or {})
     return OtocSeries(
         times=np.arange(spec.T + 1),
         c2=c2.mean(axis=0),
         c4=c4.mean(axis=0),
         c_infinity=c_inf,
-        meta=info,
+        meta={
+            "scenario": "rmt", "spec": spec, "path": "rmt_mc",
+            "workers": workers, "worker_blas_threads": worker_blas_threads(workers),
+        },
         c_err=(c2 - c4).std(axis=0, ddof=1) / sqrt_s if spec.samples > 1 else np.zeros(spec.T + 1),
     )

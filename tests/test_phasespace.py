@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from otoclab.kicked_rotor import coupled_floquet
 from otoclab.operators import SystemParams, translation_p, translation_q
 from otoclab.phasespace import (
-    HusimiGrid,
     coherent_frame,
     evolve_product_state,
     harper_ground_state,
@@ -130,8 +129,7 @@ class TestHusimi:
         rho = np.diag(np.arange(1.0, 9.0))
         rho /= np.trace(rho)
         grid = reduced_husimi(rho, frame8)
-        assert grid.values.sum() == pytest.approx(8.0)
-        assert grid.normalization == 8.0
+        assert grid.sum() == pytest.approx(8.0)
 
     def test_matches_coherent_expectations(self, frame8):
         # Q(n, m) = <n,m|rho|n,m>, one state at a time, scaled to sum N
@@ -140,19 +138,19 @@ class TestHusimi:
         rho = m @ m.conj().T
         want = np.array([np.vdot(s, rho @ s).real for s in frame8.states])
         want *= 8 / want.sum()
-        got = reduced_husimi(rho, frame8).values.ravel()
+        got = reduced_husimi(rho, frame8).ravel()
         assert np.allclose(got, want, rtol=1e-13, atol=0)
 
     def test_maximally_mixed_is_flat(self, frame8):
         grid = reduced_husimi(np.eye(8) / 8, frame8)
-        assert np.allclose(grid.values, 1.0 / 8)
+        assert np.allclose(grid, 1.0 / 8)
         assert participation_ratio(grid) == pytest.approx(1.0)
 
     def test_coherent_state_is_localized(self, frame8):
         a = frame8.state(3, 5)
         grid = reduced_husimi(np.outer(a, a.conj()), frame8)
         # the diagonal weight peaks at the state's own grid point
-        assert np.unravel_index(np.argmax(grid.values), (8, 8)) == (3, 5)
+        assert np.unravel_index(np.argmax(grid), (8, 8)) == (3, 5)
         assert participation_ratio(grid) < 0.5
 
     def test_shape_check(self, frame8):
@@ -168,13 +166,11 @@ class TestParticipationRatio:
         N = 6
         vals = rng.random((N, N)) + 1e-12
         vals *= N / vals.sum()
-        grid = HusimiGrid(values=vals, normalization=float(N))
-        pr = participation_ratio(grid)
+        pr = participation_ratio(vals)
         assert 1.0 / N**2 - 1e-12 <= pr <= 1.0 + 1e-12
         shuffled = vals.ravel().copy()
         rng.shuffle(shuffled)
-        grid2 = HusimiGrid(values=shuffled.reshape(N, N), normalization=float(N))
-        assert participation_ratio(grid2) == pytest.approx(pr)
+        assert participation_ratio(shuffled.reshape(N, N)) == pytest.approx(pr)
 
 
 class TestPrSeries:
