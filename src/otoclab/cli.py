@@ -153,6 +153,17 @@ def load_config(path=None, overrides=()):
         raise ConfigError(f"unknown path {cfg.path!r}; choose from dense, stochastic")
     if not 0.0 <= cfg.epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in [0, 1), got {cfg.epsilon!r}")
+    for name in ("lyap_window", "relax_window"):
+        window = getattr(cfg, name)
+        if window and not (
+            len(window) == 2
+            and all(type(v) is int for v in window)
+            and window[0] < window[1]
+        ):
+            raise ConfigError(
+                f"field {name!r}: expected empty or two integer kicks first < last, "
+                f"got {','.join(map(str, window))}"
+            )
     return cfg
 
 
@@ -178,10 +189,6 @@ def _series_columns(series):
     return cols
 
 
-def _window_or_none(cfg_window):
-    return tuple(int(v) for v in cfg_window) if cfg_window else None
-
-
 def _try_fit(fits, name, fit):
     """Store ``fit()`` as ``fits[name]``; if the fit cannot be made, store
     its reason as ``fits[name + "_error"]`` so the run still writes its
@@ -195,10 +202,10 @@ def _try_fit(fits, name, fit):
 def _phase_fits(series, cfg):
     fits = {}
     _try_fit(fits, "lyapunov", lambda: _fit_dict(
-        fit_lyapunov_phase(series, _window_or_none(cfg.lyap_window))
+        fit_lyapunov_phase(series, cfg.lyap_window or None)
     ))
     _try_fit(fits, "relaxation", lambda: _fit_dict(
-        fit_relaxation_phase(series, _window_or_none(cfg.relax_window))
+        fit_relaxation_phase(series, cfg.relax_window or None)
     ))
     return fits
 
@@ -292,7 +299,7 @@ def _run_rmt(cfg, out, stem):
         k: series.meta[k] for k in ("workers", "worker_blas_threads")
     }}
     _try_fit(fits, "relaxation", lambda: _fit_dict(
-        fit_relaxation_phase(series, _window_or_none(cfg.relax_window), t_ef=1.0)
+        fit_relaxation_phase(series, cfg.relax_window or None, t_ef=1.0)
     ))
     return _series_columns(series), fits, []
 
@@ -301,7 +308,7 @@ def _rate_point(cfg):
     o = cosine_observable(cfg.N, cfg.alpha)
     series = _rotor_series(cfg, o, o)
     # not _try_fit: a point that cannot be fitted fails the scan
-    fit = fit_relaxation_phase(series, _window_or_none(cfg.relax_window))
+    fit = fit_relaxation_phase(series, cfg.relax_window or None)
     eps = epsilon_from_b(cfg.N, cfg.b)
     return {
         "b": cfg.b,
@@ -327,7 +334,7 @@ def _run_classical(cfg, out, stem):
     fit = classical_lyapunov(
         cfg.K1, cfg.K2, cfg.b,
         ensemble=cfg.ensemble,
-        fit_window=_window_or_none(cfg.lyap_window),
+        fit_window=cfg.lyap_window or None,
         rng=task_rng(cfg.seed, 0),
     )
     cols = {"two_lambda_cl": [fit.slope], "stderr": [fit.slope_stderr]}

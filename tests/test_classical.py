@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from otoclab.classical import (
     PhasePoint,
+    _jacobian_arrays,
+    _step_arrays,
+    _tangent_column_step,
     classical_lyapunov,
     jacobian_step,
     map_step,
@@ -74,8 +78,6 @@ class TestJacobian:
         assert np.abs(M.T @ _OMEGA @ M - _OMEGA).max() < 1e-9
 
     def test_finite_difference(self):
-        from otoclab.classical import _step_arrays
-
         K1, K2, b = 1.3, 0.8, 0.4
         x0 = np.array([0.31, 0.27, 0.43, 0.62])
         M = jacobian_step(PhasePoint(*x0), K1, K2, b)
@@ -104,8 +106,6 @@ class TestPoissonOtoc:
         assert np.all(c[2:] > 0.0)
 
     def test_matches_direct_tangent_product(self):
-        from otoclab.classical import _jacobian_arrays, _step_arrays
-
         K1, K2, b = 9.0, 10.0, 0.05
         x = np.array([0.13, 0.27, 0.41, 0.59])
         got = poisson_otoc(PhasePoint(*x), K1, K2, b, 6)
@@ -155,6 +155,20 @@ class TestClassicalLyapunov:
         with pytest.raises(TypeError, match="rng"):
             classical_lyapunov(9.0, 10.0, 0.05, ensemble=2000)
 
+    @pytest.mark.parametrize("window", [(1, 5), (0, 4), (2, 3), (4, 4)])
+    def test_short_or_early_window_is_refused_before_sampling(self, window):
+        # dq1/dp2(0) is identically 0 at t = 1: a window from kick 1 used to
+        # average an empty slice and then report every realization excluded
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="identically 0 at t = 1"):
+                classical_lyapunov(
+                    9.0, 10.0, 0.05, ensemble=2000, fit_window=window, rng=rng
+                )
+        assert rng.bit_generator.state == state
+
     def test_uncoupled_is_refused_before_sampling(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
@@ -163,3 +177,61 @@ class TestClassicalLyapunov:
             with pytest.raises(ValueError, match="block-diagonal"):
                 classical_lyapunov(9.0, 10.0, 0.0, ensemble=2000, rng=rng)
         assert rng.bit_generator.state == state
+
+
+class TestTangentColumn:
+    def test_matches_full_matrix_oracles(self):
+        # 16 seeded points, each with its own kicks and b != 0, advanced
+        # together; the column must equal the p2(0) column of the full
+        # product and give poisson_otoc's bracket
+        rng = np.random.default_rng(21)
+        x = rng.random((4, 16))
+        K1, K2 = rng.uniform(1.0, 20.0, (2, 16))
+        b = rng.uniform(0.01, 1.0, 16)
+        T = 6
+        v = (np.zeros(16), np.zeros(16), np.ones(16), np.zeros(16))
+        J = np.broadcast_to(np.eye(4), (16, 4, 4)).copy()
+        p1, q1, p2, q2 = x
+        brackets = []
+        for _ in range(T):
+            v = _tangent_column_step(v, q1, q2, K1, K2, b)
+            J = _jacobian_arrays(q1, q2, K1, K2, b) @ J
+            p1, q1, p2, q2 = _step_arrays(p1, q1, p2, q2, K1, K2, b)
+            np.testing.assert_allclose(np.stack(v), J[:, :, 2].T, rtol=1e-12, atol=0)
+            brackets.append(
+                np.sin(_TWO_PI * q1) ** 2 * np.sin(_TWO_PI * x[3]) ** 2 * v[1] ** 2
+            )
+        for k in range(16):
+            want = poisson_otoc(PhasePoint(*x[:, k]), K1[k], K2[k], b[k], T)
+            got = [brackets[t][k] for t in range(T)]
+            np.testing.assert_allclose(got, want[1:], rtol=1e-12, atol=0)
+
+    def test_ensemble_fit_matches_full_matrix_product(self):
+        # the slope of the full (ensemble, 4, 4) product the estimate used
+        # to accumulate
+        K1, K2, b, n = 9.0, 10.0, 0.05, 2000
+        p1, q1, p2, q2 = np.random.default_rng(5).random((4, n))
+        sin_q2_0_sq = np.sin(_TWO_PI * q2) ** 2
+        J = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
+        mean_logs = []
+        for t in range(1, 6):
+            J = _jacobian_arrays(q1, q2, K1, K2, b) @ J
+            p1, q1, p2, q2 = _step_arrays(p1, q1, p2, q2, K1, K2, b)
+            if t >= 2:
+                c_cl = np.sin(_TWO_PI * q1) ** 2 * sin_q2_0_sq * J[:, 1, 2] ** 2
+                mean_logs.append(np.log(c_cl).mean())
+        want = np.polyfit(np.arange(2, 6), mean_logs, 1)[0]
+        fit = classical_lyapunov(K1, K2, b, ensemble=n, rng=np.random.default_rng(5))
+        assert fit.slope == pytest.approx(want, rel=1e-12)
+
+    def test_memory_per_trajectory(self):
+        # one column is four vectors; the full 4x4 product held 54 doubles
+        # per trajectory at its peak
+        n = 20_000
+        tracemalloc.start()
+        try:
+            classical_lyapunov(9.0, 10.0, 0.05, ensemble=n, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n) < 24

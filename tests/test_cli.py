@@ -84,6 +84,35 @@ class TestLoadConfig:
         assert main(["--scenario", "rmt_otoc", "--set", f"epsilon={eps}"]) == 1
         assert capsys.readouterr().err.startswith("error: epsilon must lie")
 
+    @pytest.mark.parametrize("field", ["lyap_window", "relax_window"])
+    @pytest.mark.parametrize(
+        "raw",
+        # one value and three values used to fail as a tuple unpacking;
+        # non-integer kicks used to be truncated to [2, 4]
+        ["3", "2,3,4", "2.5,4.9", "4,2", "3,3"],
+        ids=["one", "three", "non-integer", "reversed", "empty-range"],
+    )
+    def test_malformed_fit_window(self, field, raw):
+        with pytest.raises(ConfigError, match=f"field '{field}': expected empty or two"):
+            load_config(overrides=[f"{field}={raw}"])
+
+    def test_malformed_window_is_one_error_line(self, tmp_path, capsys):
+        argv = ["--scenario", "classical_lyapunov", "--out", str(tmp_path),
+                "--set", "lyap_window=3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: field 'lyap_window': expected empty or two integer kicks "
+            "first < last, got 3\n"
+        )
+
+    def test_malformed_relax_window_stops_before_the_run(self, tmp_path, capsys):
+        # it used to run, then store the unpacking error as relaxation_error
+        argv = ["--scenario", "rotor_otoc", "--out", str(tmp_path),
+                "--set", "N=8", "--set", "T=6", "--set", "relax_window=5"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: field 'relax_window'")
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_path(self):
         # a misspelt path used to run the dense series silently
         with pytest.raises(ConfigError, match="unknown path 'stochastc'.*dense, stochastic"):
@@ -150,7 +179,9 @@ class TestScenarios:
         assert record.columns["two_lambda_cl"][0] == pytest.approx(3.92, abs=0.3)
 
     @pytest.mark.parametrize(
-        "window, fitted", [("", [2, 5]), ("2,4", [2, 4])], ids=["default", "2-4"]
+        "window, fitted",
+        [("", [2, 5]), ("2,4", [2, 4]), ("3,5", [3, 5])],
+        ids=["default", "2-4", "3-5"],
     )
     def test_classical_scenario_reads_lyap_window(self, window, fitted, tmp_path):
         cfg = load_config(
