@@ -2,15 +2,18 @@
 
 Index layout is row-major with the subsystem-1 index outer: a product-space
 vector of length N^2 reshapes to an (n1, n2) matrix, and an operator on the
-product space reshapes to the four-index tensor T[a1, a2, b1, b2].  All
-routines here cost O(N^3)..O(N^5) instead of the naive O(N^4)..O(N^6), and
-every product runs on BLAS-able (batched, possibly strided) matrices, so no
-step copies a transposed operator.  The dense kick, Kronecker factors and
-diagonal interaction phase together, runs in place in A, in blocks of rows
-and then of columns through a caller's scratch, which may be a fraction of
-an operator; the phase rides in per-index copies of U2, N^3 entries, so the
-kick allocates nothing of operator size and makes no elementwise pass over
-A.
+product space reshapes to the four-index tensor T[a1, a2, b1, b2].  A block
+of k probe vectors is held as an (N, k, N) array (subsystem-1 index, probe,
+subsystem-2 index), so that a local factor on either subsystem is one 2-D
+gemm over the whole block; a length-N^2 vector is the k = 1 block, with
+the same memory.  All routines here cost O(N^3)..O(N^5) instead of the
+naive O(N^4)..O(N^6), and every product runs on BLAS-able (batched,
+possibly strided) matrices, so no step copies a transposed operator.  The
+dense kick, Kronecker factors and diagonal interaction phase together,
+runs in place in A, in blocks of rows and then of columns through a
+caller's scratch, which may be a fraction of an operator; the phase rides
+in per-index copies of U2, N^3 entries, so the kick allocates nothing of
+operator size and makes no elementwise pass over A.
 """
 
 import numpy as np
@@ -23,17 +26,44 @@ def split_dim(dim_sq):
     return n
 
 
-def apply_local(X, U1=None, U2=None):
-    """(U1 x U2) X for X with N^2 rows (a vector, a batch of columns or an
-    operator); a None factor is the identity.  U1 acts on the outer row
-    index, then U2 on the inner one, batched over the outer."""
-    n = split_dim(X.shape[0])
-    out = X
+def block_dim(X):
+    """N of a probe block of shape (N, k, N) or of a length-N^2 vector."""
+    if X.ndim == 1:
+        return split_dim(X.shape[0])
+    if X.ndim == 3 and X.shape[0] == X.shape[2]:
+        return X.shape[0]
+    raise ValueError(f"shape {X.shape} is neither (N^2,) nor an (N, k, N) probe block")
+
+
+def as_block(cols):
+    """The (N, k, N) probe block of an (N^2, k) stack of column vectors, as
+    a strided view."""
+    n = split_dim(cols.shape[0])
+    return cols.reshape(n, n, -1).transpose(0, 2, 1)
+
+
+def apply_local(X, U1=None, U2=None, out=None):
+    """(U1 x U2) X for a probe block X of shape (N, k, N), or a length-N^2
+    vector, the k = 1 block; a None factor is the identity.  U1 is one
+    (N, N) @ (N, kN) gemm on the outer index, U2 one (kN, N) @ (N, N)
+    gemm on the inner one.  The result goes to ``out`` when given, a
+    C-contiguous array of X's shape.  With both factors the product
+    between the two gemms is a fresh block."""
+    n = block_dim(X)
+    if out is None:
+        out = np.empty(X.shape, complex)
+    elif out.shape != X.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {X.shape}")
+    src = X
     if U1 is not None:
-        out = U1 @ out.reshape(n, -1)
+        dst = out if U2 is None else np.empty_like(out)
+        np.matmul(U1, src.reshape(n, -1), out=dst.reshape(n, -1))
+        src = dst
     if U2 is not None:
-        out = U2 @ out.reshape(n, n, -1)
-    return out.reshape(X.shape)
+        np.matmul(src.reshape(-1, n), U2.T, out=out.reshape(-1, n))
+    elif U1 is None:
+        np.copyto(out, X)
+    return out
 
 
 def right_multiply_embedded(X, U1=None, U2=None):

@@ -164,6 +164,12 @@ def load_config(path=None, overrides=()):
                 f"field {name!r}: expected empty or two integer kicks first < last, "
                 f"got {','.join(map(str, window))}"
             )
+    times = cfg.husimi_times
+    if not times or any(type(t) is not int or t < 0 for t in times):
+        raise ConfigError(
+            "field 'husimi_times': expected one or more integer kicks >= 0, "
+            f"got {','.join(map(str, times))}"
+        )
     return cfg
 
 
@@ -365,7 +371,7 @@ def _run_pr_series(cfg, out, stem):
 def _run_husimi(cfg, out, stem):
     F = coupled_floquet(cfg.system_params())
     frame = coherent_frame(cfg.N, cfg.alpha)
-    times = [int(t) for t in cfg.husimi_times]
+    times = list(cfg.husimi_times)
     states = evolve_product_state(F, cfg.q0, cfg.p0, max(times), frame=frame)
     files = []
     for t in times:

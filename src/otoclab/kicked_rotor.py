@@ -11,6 +11,7 @@ The time between kicks is 1 throughout.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,16 @@ class CoupledFloquet:
     def N(self):
         return self.params.N
 
+    @cached_property
+    def adjoint_factors(self):
+        """(U1^dag, U2^dag, conj(U_b) shaped (N, 1, N)), formed once for
+        :func:`apply_floquet`'s adjoint direction."""
+        return (
+            self.U1.entries.conj().T,
+            self.U2.entries.conj().T,
+            self.Ub_diag.conj().reshape(self.N, 1, self.N),
+        )
+
     def dense(self):
         """Materialize the N^2 x N^2 matrix (budget permitting), untagged:
         its unitary factors are checked at N x N, not by an O(N^6) U^dag U."""
@@ -70,23 +81,34 @@ def coupled_floquet(params):
     )
 
 
-def apply_floquet(F, psi, direction="forward"):
+def apply_floquet(F, psi, direction="forward", out=None):
     """Apply U (or U^dag) to product-space vectors in O(N^3) per vector.
 
-    ``psi`` may be a single length-N^2 vector or an (N^2, k) batch.
+    ``psi`` is a length-N^2 vector or an (N, k, N) probe block (see
+    :func:`otoclab.bipartite.apply_local`); each Kronecker factor is one
+    2-D gemm over all of it, and the interaction phase one elementwise
+    pass.  With ``out``, the result goes there and psi is the scratch
+    between the passes, so its contents are lost and nothing is allocated;
+    both must then be C-contiguous and of one shape.  Without, psi is left
+    as it is.
     """
-    if psi.shape[0] != F.N**2:
-        raise ValueError(f"vector length {psi.shape[0]} != N^2 = {F.N ** 2}")
-    col = psi if psi.ndim == 2 else psi[:, None]
-    if direction == "forward":
-        out = bipartite.apply_local(
-            F.Ub_diag[:, None] * col, F.U1.entries, F.U2.entries
-        )
-    elif direction == "adjoint":
-        out = bipartite.apply_local(
-            col, F.U1.entries.conj().T, F.U2.entries.conj().T
-        )
-        out = F.Ub_diag.conj()[:, None] * out
-    else:
+    N = F.N
+    if bipartite.block_dim(psi) != N:
+        raise ValueError(f"shape {psi.shape} does not match N = {N}")
+    if direction not in ("forward", "adjoint"):
         raise ValueError(f"direction must be 'forward' or 'adjoint', got {direction!r}")
-    return out if psi.ndim == 2 else out[:, 0]
+    if out is None:
+        psi, out = psi.astype(complex, order="C"), np.empty(psi.shape, complex)
+    elif out.shape != psi.shape or not (psi.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError(f"psi and out must be C-contiguous arrays of shape {psi.shape}")
+    x, y = psi.reshape(N, -1, N), out.reshape(N, -1, N)
+    if direction == "forward":  # (U1 x U2) D
+        np.multiply(x, F.Ub_diag.reshape(N, 1, N), out=y)
+        bipartite.apply_local(y, F.U1.entries, out=x)
+        bipartite.apply_local(x, None, F.U2.entries, out=y)
+    else:  # D^dag (U1^dag x U2^dag)
+        U1h, U2h, d_conj = F.adjoint_factors
+        bipartite.apply_local(x, U1h, out=y)
+        bipartite.apply_local(y, None, U2h, out=x)
+        np.multiply(x, d_conj, out=y)
+    return out

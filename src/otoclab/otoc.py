@@ -15,10 +15,12 @@ V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
 and ||A(t)||_F^2 = sum W.  The stochastic path takes for S a block Z of
 random-phase probe vectors, E[Z Z^dag] = I, and builds no product-space
-matrix: it propagates PROBE_BLOCK probes at a time, in T(T+3) O(N^3)
-Floquet applications per probe over T kicks, and holds Z plus a few
-blocks.  Observables are subsystem factors from :func:`otoclab.operators.embed`;
-C_inf is :func:`saturation_value` of them.
+matrix: it propagates PROBE_BLOCK probes at a time, each block an
+(N, k, N) array on which every Floquet and observable factor is one 2-D
+gemm, in T(T+3) O(N^3) Floquet applications per probe over T kicks, and
+holds Z plus five blocks, allocated once per series.  Observables are
+subsystem factors from :func:`otoclab.operators.embed`; C_inf is
+:func:`saturation_value` of them.
 Both paths take either side for either observable: A = O1 x I against
 B = I x O2 is the bipartite OTOC, and B = O2 x I the same-subsystem one.
 """
@@ -213,6 +215,13 @@ def otoc_series_dense(F, A0, B0, T, meta=None):
     )
 
 
+def _probe_norms(y):
+    """||y_p||^2 for each probe p of an (N, k, N) block, summed over the
+    block's float64 view, so no conjugate copy is formed."""
+    x = y.view(np.float64)
+    return np.einsum("ipj,ipj->p", x, x)
+
+
 def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     """Random-phase trace estimation of the OTOC for large N.
 
@@ -222,11 +231,14 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     B0 come from :func:`otoclab.operators.embed` and are applied through
     their N x N factors, so no budget applies.
 
-    The probes run PROBE_BLOCK at a time.  Per block, f = U^t B z and
-    g = U^t z advance by one forward kick per step, and A f and A g go back
-    by t adjoint kicks: T(T+3) Floquet applications per probe over the
-    series.  Besides Z, a few blocks are alive at once; drawing Z holds it
-    and its real phases, half its size.
+    The probes run PROBE_BLOCK at a time, each block an (N, k, N) array
+    (see :mod:`otoclab.bipartite`), so every Floquet and observable factor
+    is one 2-D gemm over the block.  Per block, f = U^t B z and g = U^t z
+    advance by one forward kick per step, and A f and A g go back by t
+    adjoint kicks: T(T+3) Floquet applications per probe over the series.
+    The five blocks g, f, y, w and a scratch are allocated once per series
+    and every application writes into one of them.  Besides Z, those five
+    blocks are alive; drawing Z holds it and its real phases, half its size.
     """
     if probes < 16:
         raise ValueError("need at least 16 probe vectors")
@@ -235,33 +247,36 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     c_inf = saturation_value(A0.op, B0.op)
     a, b = A0.factors, B0.factors
     # Z = exp(2 pi i u) is formed in place, so the draw holds Z and u (8
-    # bytes an entry), not Z and a complex temporary.  u is drawn whole:
-    # freeing it raises glibc's dynamic mmap and trim thresholds above the
-    # probe blocks' working set, so their many temporaries reuse heap pages
-    # instead of faulting in fresh ones.
+    # bytes an entry), not Z and a complex temporary.
     Z = rng.random((N**2, probes)).astype(complex)
     Z *= 2j * np.pi
     np.exp(Z, out=Z)
+    buffers = np.empty((5, N * min(PROBE_BLOCK, probes) * N), complex)
 
-    def back_propagate(x, t):
+    def back_propagate(x, spare, t):
         for _ in range(t):
-            x = apply_floquet(F, x, "adjoint")
-        return x
+            x, spare = apply_floquet(F, x, "adjoint", out=spare), x
+        return x, spare
 
     e2 = np.empty((T + 1, probes))
     e = np.empty((T + 1, probes))
     for start in range(0, probes, PROBE_BLOCK):
         cols = slice(start, start + PROBE_BLOCK)
-        g = Z[:, cols]
-        f = bipartite.apply_local(g, *b)
+        k = min(PROBE_BLOCK, probes - start)
+        g, f, y, w, s = (buf[:N * k * N].reshape(N, k, N) for buf in buffers)
+        np.copyto(g, bipartite.as_block(Z[:, cols]))
+        bipartite.apply_local(g, *b, out=f)
         for t in range(T + 1):
             if t:
-                f = apply_floquet(F, f, "forward")
-                g = apply_floquet(F, g, "forward")
-            y = back_propagate(bipartite.apply_local(f, *a), t)  # A(t) B z
-            e2[t, cols] = np.einsum("ip,ip->p", y.conj(), y).real
-            y -= bipartite.apply_local(back_propagate(bipartite.apply_local(g, *a), t), *b)
-            e[t, cols] = 0.5 * np.einsum("ip,ip->p", y.conj(), y).real
+                f, s = apply_floquet(F, f, "forward", out=s), f
+                g, s = apply_floquet(F, g, "forward", out=s), g
+            bipartite.apply_local(f, *a, out=y)
+            y, w = back_propagate(y, w, t)  # A(t) B z
+            e2[t, cols] = _probe_norms(y)
+            bipartite.apply_local(g, *a, out=w)
+            w, s = back_propagate(w, s, t)  # A(t) z
+            y -= bipartite.apply_local(w, *b, out=s)
+            e[t, cols] = 0.5 * _probe_norms(y)
     c2 = e2.mean(axis=1)
     info = {"params": F.params, "path": "stochastic", "probes": probes}
     info.update(meta or {})
@@ -294,8 +309,13 @@ def default_lyapunov_window(series):
 
 
 def _log_linear_fit(times, y, window, nonpositive_error):
-    """Slope of ln y(t) over the closed window, at least three points."""
+    """Slope of ln y(t) over the closed window, at least three points; the
+    window may not end past the last time of the series."""
     t_min, t_max = window
+    if t_max > times[-1]:
+        raise ValueError(
+            f"fit window ({t_min}, {t_max}) ends past the last kick T = {times[-1]}"
+        )
     mask = (times >= t_min) & (times <= t_max)
     if mask.sum() < 3:
         raise ValueError("fit window must contain at least three points")

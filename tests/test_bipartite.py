@@ -42,10 +42,46 @@ class TestApplyLocal:
         n, k = 3, 5
         U1 = _random_complex(rng, n, n)
         U2 = _random_complex(rng, n, n)
-        batch = _random_complex(rng, n * n, k)
+        batch = bipartite.as_block(_random_complex(rng, n * n, k))
         got = bipartite.apply_local(batch, U1, U2)
         for j in range(k):
-            assert np.allclose(got[:, j], bipartite.apply_local(batch[:, j], U1, U2))
+            assert np.allclose(
+                got[:, j].ravel(), bipartite.apply_local(batch[:, j].ravel(), U1, U2)
+            )
+
+    @pytest.mark.parametrize("which", ["left", "right", "both"])
+    @pytest.mark.parametrize("k", [1, 5, 37])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_block_matches_columns(self, n, k, which):
+        rng = np.random.default_rng(10 * n + k)
+        U1, U2 = _factor_pair(rng, n, which)
+        cols = _random_complex(rng, n * n, k)
+        out = np.full((n, k, n), np.nan, complex)
+        got = bipartite.apply_local(bipartite.as_block(cols), U1, U2, out=out)
+        assert got is out
+        for j in range(k):
+            want = bipartite.apply_local(cols[:, j].copy(), U1, U2)
+            assert np.abs(got[:, j].ravel() - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.allclose(want, _kron(U1, U2, n) @ cols[:, j])
+
+    def test_out_must_be_a_contiguous_block(self):
+        rng = np.random.default_rng(2)
+        n = 3
+        X = _random_complex(rng, n, 4, n)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            bipartite.apply_local(X, X[:, 0], out=np.empty((n, 4, n), complex)[:, ::-1])
+        with pytest.raises(ValueError, match="shape"):
+            bipartite.apply_local(X, X[:, 0], out=np.empty((n, 3, n), complex))
+
+    def test_rejects_a_column_stack(self):
+        with pytest.raises(ValueError, match="probe block"):
+            bipartite.apply_local(np.zeros((9, 4), complex), np.eye(3))
+
+
+def _from_block(block):
+    """The (N^2, k) column stack of an (N, k, N) probe block."""
+    n = block.shape[0]
+    return block.transpose(0, 2, 1).reshape(n * n, -1)
 
 
 def _unimodular(rng, size):
@@ -146,9 +182,9 @@ class TestApplyLocalOperator:
         rng = np.random.default_rng(seed)
         X = _random_complex(rng, n * n, n * n)
         U1, U2 = _factor_pair(rng, n, which)
-        got = bipartite.apply_local(X, U1, U2)
-        assert got.shape == X.shape
-        assert np.allclose(got, _kron(U1, U2, n) @ X)
+        got = bipartite.apply_local(bipartite.as_block(X), U1, U2)
+        assert got.shape == (n, n * n, n)
+        assert np.allclose(_from_block(got), _kron(U1, U2, n) @ X)
 
 
 class TestRightMultiplyEmbedded:
@@ -170,7 +206,8 @@ def test_embedded_factors(side):
     op = OperatorMatrix(_random_complex(rng, n, n))
     e = embed(op, side, n)
     X = _random_complex(rng, n * n, n * n)
-    assert np.allclose(bipartite.apply_local(X, *e.factors), e.dense() @ X)
+    got = bipartite.apply_local(bipartite.as_block(X), *e.factors)
+    assert np.allclose(_from_block(got), e.dense() @ X)
     assert np.allclose(bipartite.right_multiply_embedded(X, *e.factors), X @ e.dense())
 
 

@@ -113,6 +113,21 @@ class TestLoadConfig:
         assert capsys.readouterr().err.startswith("error: field 'relax_window'")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "raw", ["-1", "0,2.5", ""], ids=["negative", "non-integer", "empty"]
+    )
+    def test_malformed_husimi_times(self, raw, tmp_path, capsys):
+        # -1 used to end in an IndexError traceback; 2.5 ran kick 2
+        with pytest.raises(ConfigError, match="field 'husimi_times': expected one or more"):
+            load_config(overrides=["scenario=husimi", f"husimi_times={raw}"])
+        argv = ["--scenario", "husimi", "--out", str(tmp_path),
+                "--set", "N=8", "--set", f"husimi_times={raw}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'husimi_times'")
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_path(self):
         # a misspelt path used to run the dense series silently
         with pytest.raises(ConfigError, match="unknown path 'stochastc'.*dense, stochastic"):
@@ -367,6 +382,17 @@ class TestScenarioTable:
         fits = _strict_json(csv.with_suffix(".json").read_text())["fits"]
         name, reason = error
         assert reason in fits[name]
+
+    @pytest.mark.parametrize("field, fit", [("lyap_window", "lyapunov"),
+                                            ("relax_window", "relaxation")])
+    def test_fit_window_past_the_series(self, field, fit, tmp_path):
+        # the sidecar used to record the window [2, 40] for a fit over 2..6
+        sets = ["N=8", "T=6", "b=0.3", f"{field}=2,40"]
+        assert main(_argv("rotor_otoc", tmp_path, sets)) == 0
+        (sidecar_path,) = tmp_path.glob("*.json")
+        fits = _strict_json(sidecar_path.read_text())["fits"]
+        assert fit not in fits
+        assert fits[f"{fit}_error"] == "fit window (2, 40) ends past the last kick T = 6"
 
     def test_one_scenario_list(self, capsys):
         with pytest.raises(SystemExit):

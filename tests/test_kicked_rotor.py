@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otoclab.bipartite import as_block
 from otoclab.kicked_rotor import (
     apply_floquet,
     coupled_floquet,
@@ -115,10 +116,45 @@ class TestApplyFloquet:
 
     def test_batch(self, small):
         rng = np.random.default_rng(3)
-        batch = rng.standard_normal((25, 4)) + 1j * rng.standard_normal((25, 4))
+        batch = as_block(rng.standard_normal((25, 4)) + 1j * rng.standard_normal((25, 4)))
         got = apply_floquet(small, batch, "forward")
         for j in range(4):
-            assert np.allclose(got[:, j], apply_floquet(small, batch[:, j], "forward"))
+            assert np.allclose(
+                got[:, j].ravel(), apply_floquet(small, batch[:, j].ravel(), "forward")
+            )
+
+    @pytest.mark.parametrize("direction", ["forward", "adjoint"])
+    @pytest.mark.parametrize("k", [1, 5, 37])
+    @pytest.mark.parametrize("N", [5, 6])
+    def test_block_matches_columns(self, N, k, direction):
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=0.3))
+        U = F.dense().entries
+        U = U if direction == "forward" else U.conj().T
+        rng = np.random.default_rng(N * k)
+        cols = rng.standard_normal((N * N, k)) + 1j * rng.standard_normal((N * N, k))
+        block = as_block(cols)
+        got = apply_floquet(F, block, direction)
+        assert np.array_equal(block, as_block(cols))  # without out, the input stays
+        for j in range(k):
+            want = apply_floquet(F, cols[:, j], direction)
+            assert np.abs(got[:, j].ravel() - want).max() <= 1e-13
+            assert np.allclose(want, U @ cols[:, j])
+
+    @pytest.mark.parametrize("direction", ["forward", "adjoint"])
+    def test_out_is_written_in_place(self, small, direction):
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((5, 3, 5)) + 1j * rng.standard_normal((5, 3, 5))
+        want = apply_floquet(small, block, direction)
+        buf = np.full_like(block, np.nan)
+        got = apply_floquet(small, block.copy(), direction, out=buf)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, want)
+
+    def test_out_needs_contiguous_blocks_of_one_shape(self, small):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_floquet(small, np.zeros((5, 2, 5), complex), out=np.zeros((5, 3, 5), complex))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_floquet(small, as_block(np.zeros((25, 2), complex)), out=np.zeros((5, 2, 5), complex))
 
     def test_bad_direction(self, small):
         with pytest.raises(ValueError, match="direction"):
@@ -127,3 +163,5 @@ class TestApplyFloquet:
     def test_bad_length(self, small):
         with pytest.raises(ValueError):
             apply_floquet(small, np.zeros(24), "forward")
+        with pytest.raises(ValueError, match="N = 5"):
+            apply_floquet(small, np.zeros((6, 2, 6)), "forward")
