@@ -42,6 +42,12 @@ def as_block(cols):
     return cols.reshape(n, n, -1).transpose(0, 2, 1)
 
 
+def check_out(X, out):
+    """Refuse an ``out`` that is not a C-contiguous array of X's shape."""
+    if out.shape != X.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {X.shape}")
+
+
 def apply_local(X, U1=None, U2=None, out=None):
     """(U1 x U2) X for a probe block X of shape (N, k, N), or a length-N^2
     vector, the k = 1 block; a None factor is the identity.  U1 is one
@@ -52,8 +58,8 @@ def apply_local(X, U1=None, U2=None, out=None):
     n = block_dim(X)
     if out is None:
         out = np.empty(X.shape, complex)
-    elif out.shape != X.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {X.shape}")
+    else:
+        check_out(X, out)
     src = X
     if U1 is not None:
         dst = out if U2 is None else np.empty_like(out)

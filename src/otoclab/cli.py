@@ -151,6 +151,11 @@ def load_config(path=None, overrides=()):
         )
     if cfg.path not in ("dense", "stochastic"):
         raise ConfigError(f"unknown path {cfg.path!r}; choose from dense, stochastic")
+    for name, least in (("T", 0), ("threads", 1)):
+        if getattr(cfg, name) < least:
+            raise ConfigError(
+                f"field {name!r}: expected an integer >= {least}, got {getattr(cfg, name)}"
+            )
     if not 0.0 <= cfg.epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in [0, 1), got {cfg.epsilon!r}")
     for name in ("lyap_window", "relax_window"):
@@ -217,8 +222,11 @@ def _phase_fits(series, cfg):
 
 
 def _loglog_fit(series):
-    """Power law of 1 - C/C_inf in t from t = 5 on, for weak chaos."""
+    """Power law of 1 - C/C_inf in t from t = 5 on, for weak chaos; at
+    least three points, like the phase fits."""
     mask = (series.times >= 5) & (1 - series.c_norm > 0)
+    if mask.sum() < 3:
+        raise ValueError("fewer than three points with 1 - C/C_inf > 0 from t = 5 on")
     slope, intercept, stderr = linear_fit(
         np.log(series.times[mask]), np.log(1 - series.c_norm[mask])
     )

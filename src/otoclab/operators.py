@@ -9,8 +9,11 @@ builds the N^2 x N^2 matrix, for the dense path's initial A(0).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from . import bipartite
 
 # The dense kick's scratch is at most KICK_SCRATCH_BYTES: one whole operator
 # up to N = 32, a block of rows or columns above.  DENSE_BUDGET_BYTES is 1 GiB
@@ -140,7 +143,12 @@ def gue_observable(N, rng_seed):
 @dataclass(frozen=True)
 class Embedded:
     """``op x I`` (side "left") or ``I x op`` (side "right") with an identity
-    of dimension ``n_other``, stored as the factor ``op`` alone."""
+    of dimension ``n_other``, stored as the factor ``op`` alone.
+
+    :attr:`diagonal` holds the factor's diagonal when every off-diagonal
+    entry is exactly zero, as for the cosine observable; :meth:`apply` then
+    multiplies elementwise instead of running a gemm, and the dense path's
+    traces skip the eigenbasis rotation."""
 
     side: str
     op: OperatorMatrix
@@ -163,6 +171,31 @@ class Embedded:
         and :func:`otoclab.bipartite.right_multiply_embedded`."""
         m = self.op.entries
         return (m, None) if self.side == "left" else (None, m)
+
+    @cached_property
+    def diagonal(self):
+        """The factor's diagonal if all its off-diagonal entries are exactly
+        0, with no tolerance, else None."""
+        m = self.op.entries
+        d = np.diagonal(m)
+        return None if np.any(m - np.diag(d)) else d
+
+    def apply(self, X, out):
+        """This observable on a probe block X of shape (N, k, N), or a
+        length-N^2 vector, into ``out``, a C-contiguous array of X's shape.
+        With a :attr:`diagonal` it is one elementwise product; for the real
+        diagonal of a Hermitian factor that equals the gemm bit for bit,
+        since the gemm only adds exact zeros to it.  Otherwise it is
+        :func:`otoclab.bipartite.apply_local`."""
+        d = self.diagonal
+        if d is None:
+            return bipartite.apply_local(X, *self.factors, out=out)
+        n = bipartite.block_dim(X)
+        bipartite.check_out(X, out)
+        if self.side == "left":
+            d = d.reshape(n, 1, 1)
+        np.multiply(d, X.reshape(n, -1, n), out=out.reshape(n, -1, n))
+        return out
 
     def dense(self):
         """The dim x dim Kronecker product, checked against the budget: the

@@ -16,9 +16,11 @@ row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
 and ||A(t)||_F^2 = sum W.  The stochastic path takes for S a block Z of
 random-phase probe vectors, E[Z Z^dag] = I, and builds no product-space
 matrix: it propagates PROBE_BLOCK probes at a time, each block an
-(N, k, N) array on which every Floquet and observable factor is one 2-D
-gemm, in T(T+3) O(N^3) Floquet applications per probe over T kicks, and
-holds Z plus five blocks, allocated once per series.  Observables are
+(N, k, N) array on which every Floquet factor and every observable factor
+with off-diagonal entries is one 2-D gemm, and a diagonal observable factor
+one elementwise product (:meth:`otoclab.operators.Embedded.apply`), in
+T(T+3) O(N^3) Floquet applications per probe over T kicks, and holds Z
+plus five blocks, allocated once per series.  Observables are
 subsystem factors from :func:`otoclab.operators.embed`; C_inf is
 :func:`saturation_value` of them.
 Both paths take either side for either observable: A = O1 x I against
@@ -181,10 +183,10 @@ def kicked_c2_c4(A0, B0, kicks):
     """
     A = A0.dense()
     work = np.empty(kick_scratch_bytes(A0.dim) // 16, complex)
-    o = B0.op.entries
-    lam, V = np.diagonal(o).real, None
-    if np.any(o - np.diag(lam)):  # rotate the traces into O's eigenbasis
-        lam, v = np.linalg.eigh(o)
+    if B0.diagonal is not None:
+        lam, V = B0.diagonal.real, None
+    else:  # rotate the traces into O's eigenbasis
+        lam, v = np.linalg.eigh(B0.op.entries)
         V = replace(B0, op=OperatorMatrix(v)).factors
     c2, c4, norm0 = _traces(A, B0, lam, V)
     c2s, c4s = [c2], [c4]
@@ -232,10 +234,13 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     their N x N factors, so no budget applies.
 
     The probes run PROBE_BLOCK at a time, each block an (N, k, N) array
-    (see :mod:`otoclab.bipartite`), so every Floquet and observable factor
-    is one 2-D gemm over the block.  Per block, f = U^t B z and g = U^t z
-    advance by one forward kick per step, and A f and A g go back by t
-    adjoint kicks: T(T+3) Floquet applications per probe over the series.
+    (see :mod:`otoclab.bipartite`), so every Floquet factor is one 2-D gemm
+    over the block; the observables go through
+    :meth:`otoclab.operators.Embedded.apply`, one gemm, or one elementwise
+    product for a diagonal factor such as the cosine.  Per block, f = U^t B z
+    and g = U^t z advance by one forward kick per step, and A f and A g go
+    back by t adjoint kicks: T(T+3) Floquet applications per probe over the
+    series.
     The five blocks g, f, y, w and a scratch are allocated once per series
     and every application writes into one of them.  Besides Z, those five
     blocks are alive; drawing Z holds it and its real phases, half its size.
@@ -245,7 +250,6 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     N = F.N
     _check_embedded(N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
-    a, b = A0.factors, B0.factors
     # Z = exp(2 pi i u) is formed in place, so the draw holds Z and u (8
     # bytes an entry), not Z and a complex temporary.
     Z = rng.random((N**2, probes)).astype(complex)
@@ -265,17 +269,17 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
         k = min(PROBE_BLOCK, probes - start)
         g, f, y, w, s = (buf[:N * k * N].reshape(N, k, N) for buf in buffers)
         np.copyto(g, bipartite.as_block(Z[:, cols]))
-        bipartite.apply_local(g, *b, out=f)
+        B0.apply(g, out=f)
         for t in range(T + 1):
             if t:
                 f, s = apply_floquet(F, f, "forward", out=s), f
                 g, s = apply_floquet(F, g, "forward", out=s), g
-            bipartite.apply_local(f, *a, out=y)
+            A0.apply(f, out=y)
             y, w = back_propagate(y, w, t)  # A(t) B z
             e2[t, cols] = _probe_norms(y)
-            bipartite.apply_local(g, *a, out=w)
+            A0.apply(g, out=w)
             w, s = back_propagate(w, s, t)  # A(t) z
-            y -= bipartite.apply_local(w, *b, out=s)
+            y -= B0.apply(w, out=s)
             e[t, cols] = 0.5 * _probe_norms(y)
     c2 = e2.mean(axis=1)
     info = {"params": F.params, "path": "stochastic", "probes": probes}

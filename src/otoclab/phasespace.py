@@ -93,12 +93,15 @@ def partial_trace_over_first(psi, N):
 def reduced_husimi(rhoB, frame):
     """Coherent-state diagonal <n,m|rho_B|n,m> on the frame grid: an N x N
     array whose entry [n, m] is the weight at (q = n/N, p = m/N),
-    nonnegative and summing to N."""
+    nonnegative and summing to N.  One array of the frame's size, rho_B
+    applied to every frame state, is its only large temporary."""
     N = frame.N
     if rhoB.shape != (N, N):
         raise ValueError(f"density matrix shape {rhoB.shape} does not match frame")
     S = frame.states
-    q = ((S.conj() @ rhoB) * S).sum(1).real
+    # q_i = Re <s_i, rho s_i>: a row-wise dot of the float64 views of the
+    # states and of rho applied to them, so no conjugate copy is formed
+    q = np.einsum("ij,ij->i", S.view(np.float64), (S @ rhoB.T).view(np.float64))
     q = np.clip(q, 0.0, None)  # tiny negatives are round-off
     q *= N / q.sum()
     return q.reshape(N, N)

@@ -128,6 +128,27 @@ class TestLoadConfig:
         assert len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "scenario, sets, field",
+        [
+            # T=-1 used to fail three ways: a column-length error on the dense
+            # path, IndexError tracebacks on the stochastic path and in pr_series
+            ("rotor_otoc", ["T=-1"], "T"),
+            ("rotor_otoc", ["T=-1", "path=stochastic", "probes=16"], "T"),
+            ("pr_series", ["T=-1"], "T"),
+            # used to be accepted silently
+            ("rotor_otoc", ["T=2", "threads=0"], "threads"),
+            ("rotor_otoc", ["T=2", "threads=-2"], "threads"),
+        ],
+        ids=["dense", "stochastic", "pr_series", "threads-0", "threads-negative"],
+    )
+    def test_count_below_its_least_is_one_error_line(self, scenario, sets, field, tmp_path, capsys):
+        assert main(_argv(scenario, tmp_path, ["N=8", *sets])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field '{field}': expected an integer >= ")
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_path(self):
         # a misspelt path used to run the dense series silently
         with pytest.raises(ConfigError, match="unknown path 'stochastc'.*dense, stochastic"):
@@ -367,7 +388,7 @@ class TestScenarioTable:
     @pytest.mark.parametrize(
         "scenario, sets, error",
         [
-            ("weak_chaos", ["N=8", "T=4"], ("loglog_error", "at least two points")),
+            ("weak_chaos", ["N=8", "T=4"], ("loglog_error", "fewer than three points")),
             ("pr_series", ["N=8", "T=4", "K1=1", "K2=1.5"],
              ("pr_relaxation_error", "needs K > 2")),
             # t_EF = 1.29, so only t = 3 and 4 lie past it

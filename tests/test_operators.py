@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otoclab import bipartite
 from otoclab.operators import (
     BudgetError,
     OperatorMatrix,
@@ -174,3 +175,64 @@ class TestEmbed:
     def test_bad_side(self):
         with pytest.raises(ValueError, match="side"):
             embed(cosine_observable(4, 0.0), "top", 4)
+
+
+def _block(N, k, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((N, k, N)) + 1j * rng.standard_normal((N, k, N))
+
+
+class TestEmbeddedApply:
+    """A diagonal factor is applied elementwise, every other one by the
+    gemm of :func:`otoclab.bipartite.apply_local`."""
+
+    @pytest.fixture
+    def gemm_calls(self, monkeypatch):
+        calls, gemm = [], bipartite.apply_local
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gemm(*args, **kwargs)
+
+        monkeypatch.setattr(bipartite, "apply_local", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 5, 37])
+    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_diagonal_equals_the_gemm(self, side, N, k, gemm_calls):
+        # a real diagonal, as every diagonal Hermitian factor has
+        vals = np.random.default_rng(N).standard_normal(N)
+        e = embed(OperatorMatrix(np.diag(vals), role="hermitian"), side, N)
+        assert np.array_equal(e.diagonal, vals)
+        X = _block(N, k, k)
+        got = e.apply(X, np.empty_like(X))
+        assert not gemm_calls
+        assert np.array_equal(got, bipartite.apply_local(X, *e.factors))
+
+    def test_vector_is_the_one_probe_block(self):
+        e = embed(cosine_observable(6, 0.35), "left", 6)
+        x = _block(6, 1, 0).ravel()
+        assert np.array_equal(e.apply(x, np.empty_like(x)),
+                              bipartite.apply_local(x, *e.factors))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tiny_off_diagonal_takes_the_gemm(self, side, gemm_calls):
+        m = np.diag(np.arange(1.0, 6.0)).astype(complex)
+        m[1, 3] = m[3, 1] = 1e-300
+        e = embed(OperatorMatrix(m, role="hermitian"), side, 5)
+        assert e.diagonal is None
+        X = _block(5, 4, 1)
+        got = e.apply(X, np.empty_like(X))
+        assert len(gemm_calls) == 1
+        assert np.array_equal(got, bipartite.apply_local(X, *e.factors))
+
+    def test_observables(self):
+        assert embed(cosine_observable(8, 0.35), "left", 8).diagonal is not None
+        assert embed(gue_observable(8, 1), "right", 8).diagonal is None
+
+    def test_refuses_a_strided_out(self):
+        e = embed(cosine_observable(4, 0.0), "right", 4)
+        X = _block(4, 3, 2)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            e.apply(X, np.empty((4, 3, 8), complex)[:, :, ::2])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,21 @@ class TestHusimi:
     def test_shape_check(self, frame8):
         with pytest.raises(ValueError):
             reduced_husimi(np.eye(4), frame8)
+
+    def test_one_frame_sized_temporary(self):
+        # rho s_i for every frame state, and no conjugate copy of the frame
+        N = 32
+        frame = coherent_frame(N, 0.35)
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        rho = m @ m.conj().T
+        tracemalloc.start()
+        try:
+            reduced_husimi(rho, frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * frame.states.nbytes
 
 
 class TestParticipationRatio:
