@@ -31,6 +31,7 @@ is one; the ``rmt_otoc`` sidecar records its count under
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -145,6 +146,10 @@ def load_config(path=None, overrides=()):
         ingest(Path(path).read_text(), str(path))
     ingest("\n".join(overrides), "--set")
     cfg = ExperimentConfig(**values)
+    for name, value in values.items():
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ConfigError(f"field {name!r} must be finite, got {value!r}")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; choose from {', '.join(SCENARIOS)}"

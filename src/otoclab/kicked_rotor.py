@@ -19,14 +19,23 @@ from . import bipartite
 from .operators import OperatorMatrix, SystemParams, check_budget
 
 
+def _finite_phase(N, value, name):
+    """The phase amplitude N * value / 2 pi, refused unless finite: a NaN or
+    infinite value, or one so large that the product overflows, would turn
+    every propagator entry into NaN."""
+    amplitude = N * value / (2 * np.pi)
+    if not np.isfinite(amplitude):
+        raise ValueError(f"phase N {name} / 2 pi is not finite for {name} = {value!r}")
+    return amplitude
+
+
 def floquet_single(N, K, alpha=0.35):
     """One-period propagator of a single kicked rotor (kick, then drift)."""
     if N < 2:
         raise ValueError("dimension must be at least 2")
-    if not np.isfinite(K):
-        raise ValueError("kick strength must be finite")
+    strength = _finite_phase(N, K, "K")
     n = np.arange(N)
-    kick = np.exp(-1j * (N * K / (2 * np.pi)) * np.cos(2 * np.pi * (n + alpha) / N))
+    kick = np.exp(-1j * strength * np.cos(2 * np.pi * (n + alpha) / N))
     free = np.exp(1j * np.pi * (n[None, :] - n[:, None]) ** 2 / N) / np.sqrt(N)
     return OperatorMatrix(free * kick[None, :], role="unitary")
 
@@ -35,10 +44,11 @@ def interaction_diag(N, b, alpha=0.35):
     """Diagonal of U_b over (n1, n2) in row-major order (n1 outer)."""
     if N < 2:
         raise ValueError("dimension must be at least 2")
+    strength = _finite_phase(N, b, "b")
     n1 = np.arange(N)[:, None]
     n2 = np.arange(N)[None, :]
     phase = np.cos(2 * np.pi * (n1 + n2 + 2 * alpha) / N)
-    return np.exp(-1j * (N * b / (2 * np.pi)) * phase).ravel()
+    return np.exp(-1j * strength * phase).ravel()
 
 
 @dataclass(frozen=True)

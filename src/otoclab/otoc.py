@@ -5,11 +5,15 @@ A evolves in the Heisenberg picture, one kick per step.  For Hermitian A(t)
 and B every path evaluates C2 = ||A(t) B S||_F^2 and C = ||[A(t), B] S||_F^2
 / 2, so C >= 0 by construction, and C4 = C2 - C.  The dense path takes S = I
 and conjugates the full product-space A in place, through the Kronecker
-structure of the propagator, in O(N^5) per step: one call of
-:func:`otoclab.bipartite.kron_conjugate`, two blocked passes through a
-scratch of at most KICK_SCRATCH_BYTES that apply the diagonal interaction
-inside their products, so it holds one operator of memory plus that scratch
-and an N^3 factor stack.
+structure of the propagator, in one call of
+:func:`otoclab.bipartite.kron_conjugate` per step.  The local A(0) = O x I
+stays exactly zero off its block-diagonal pattern for one kick, so the
+first kick is an O(N^3) write onto that pattern and the second one N^5 gemm
+pass, each after one O(N^4) count of A's nonzeros; from the third on a step
+is two blocked passes of 2 N^5 through a scratch of at most
+KICK_SCRATCH_BYTES, with the diagonal interaction applied inside their
+products.  It holds one operator of memory plus that
+scratch and an N^3 factor stack.
 Its traces take one O(N^4) pass: for B = I x O or O x I, O = V diag(lam)
 V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
@@ -129,9 +133,10 @@ def ehrenfest_time(N, K):
 
 def _check_norm(norm, norm0, t):
     """A unitary kick conserves ||A||_F; a drift means a non-unitary
-    propagator or lost precision, and is an error rather than noise."""
+    propagator or lost precision, and is an error rather than noise.  A NaN
+    drift, from a non-finite propagator, fails too."""
     drift = abs(norm / norm0 - 1.0)
-    if drift > NORM_DRIFT_TOL:
+    if not drift <= NORM_DRIFT_TOL:
         raise FloatingPointError(
             f"||A(t)||_F drifted by {drift:.2e} relative at t={t}; "
             "the propagator is not unitary to working precision"
@@ -178,8 +183,10 @@ def kicked_c2_c4(A0, B0, kicks):
     :func:`otoclab.bipartite.kron_conjugate`, in place in A(0) =
     ``A0.dense()``, through a flat scratch of min(16 dim^2,
     KICK_SCRATCH_BYTES) bytes: the whole operator up to N = 32, 1/8 of it at
-    N = 64.  Returns two arrays for t = 0 .. number of kicks.  Every kick
-    checks that ||A(t)||_F stays at ||A(0)||_F.
+    N = 64.  For the local A0 the first kick costs O(N^3) and the second
+    N^5, each later one 4 N^5 (the routes of ``kron_conjugate``).  Returns
+    two arrays for t = 0 .. number of kicks.  Every kick checks that
+    ||A(t)||_F stays at ||A(0)||_F.
     """
     A = A0.dense()
     work = np.empty(kick_scratch_bytes(A0.dim) // 16, complex)

@@ -123,7 +123,8 @@ def rmt_otoc_mc(spec, O1, O2):
     B0 = embed(O2, "right", spec.N)
 
     sample = partial(_sample_c2_c4, spec, A0, B0)
-    # T kicks per sample, each four products of N^5 complex multiply-adds
+    # T kicks per sample, each counted as four products of N^5 complex
+    # multiply-adds, which over-counts kicks 1 and 2 (see kron_conjugate)
     workers = pool_size(spec.samples, spec.samples * spec.T * 4 * spec.N**5)
     rows = map_tasks(sample, range(spec.samples), workers)
     c2, c4 = (np.array(r) for r in zip(*rows))

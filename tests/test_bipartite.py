@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otoclab import bipartite
-from otoclab.operators import OperatorMatrix, embed
+from otoclab.kicked_rotor import floquet_single, interaction_diag
+from otoclab.operators import OperatorMatrix, cosine_observable, embed
+from otoclab.rmt import sample_cue
 
 
 def _random_complex(rng, *shape):
@@ -149,6 +151,124 @@ class TestKronConjugate:
         bipartite.diag_conjugate(d, want)
         bipartite.kron_conjugate(U1, U2, A, work, d)
         assert np.abs(A - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _hermitian(rng, n):
+    m = _random_complex(rng, n, n)
+    return (m + m.conj().T) / 2
+
+
+def _pattern(side, blocks):
+    """sum_i X_i x |i><i| ("left") or sum_i |i><i| x X_i ("right")."""
+    e = np.eye(len(blocks))
+    return sum(
+        np.kron(X, np.outer(e[i], e[i])) if side == "left" else np.kron(np.outer(e[i], e[i]), X)
+        for i, X in enumerate(blocks)
+    )
+
+
+def _off_pattern(side, n):
+    """Mask of the entries where the other subsystem's row and column index
+    differ, which a block-diagonal A holds at exactly zero."""
+    i = np.arange(n * n)
+    other = i % n if side == "left" else i // n
+    return other[:, None] != other[None, :]
+
+
+def _kicked(U1, U2, d, A):
+    U = np.kron(U1, U2) * d
+    return U.conj().T @ A @ U
+
+
+@pytest.fixture
+def general_route_calls(monkeypatch):
+    """The arguments of every call of the two-pass route."""
+    calls = []
+    two_pass = bipartite._two_pass_conjugate
+
+    def spy(*args):
+        calls.append(args)
+        two_pass(*args)
+
+    monkeypatch.setattr(bipartite, "_two_pass_conjugate", spy)
+    return calls
+
+
+class TestKickRoutes:
+    """kron_conjugate's product and block routes against np.kron, for the
+    unitary factors every kick passes it."""
+
+    @staticmethod
+    def _kick(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng, sample_cue(n, rng), sample_cue(n, rng), _unimodular(rng, n * n)
+
+    @pytest.mark.parametrize("factor", ["diagonal", "gue"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_product(self, n, side, factor, general_route_calls):
+        rng, U1, U2, d = self._kick(n, 10 * n)
+        X = np.diag(rng.standard_normal(n)) if factor == "diagonal" else _hermitian(rng, n)
+        A = _pattern(side, [X] * n).astype(complex)
+        want = _kicked(U1, U2, d, A)
+        bipartite.kron_conjugate(U1, U2, A, np.full(n * n, np.nan, complex), d)
+        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+        assert not A[_off_pattern(side, n)].any()
+        assert general_route_calls == []
+
+    @pytest.mark.parametrize("work", ["dim", "two_stacks", "operator"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_block_diagonal(self, n, side, work, general_route_calls):
+        rng, U1, U2, d = self._kick(n, 10 * n + 1)
+        A = _pattern(side, [_hermitian(rng, n) for _ in range(n)])
+        want = _kicked(U1, U2, d, A)
+        size = {"dim": n * n, "two_stacks": 2 * n**3, "operator": n**4}[work]
+        bipartite.kron_conjugate(U1, U2, A, np.full(size, np.nan, complex), d)
+        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+        assert general_route_calls == []
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_zero_sentinels_of_a_dense_operator(self, n, general_route_calls):
+        rng, U1, U2, d = self._kick(n, 10 * n + 2)
+        A = _random_complex(rng, n * n, n * n)
+        A[0, 1] = A[0, n] = 0
+        want = _kicked(U1, U2, d, A)
+        bipartite.kron_conjugate(U1, U2, A, np.empty(n * n, complex), d)
+        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(general_route_calls) == 1
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_uncoupled_series_stays_a_product(self, n, side):
+        # at b = 0 every kick takes the product route: A(t) = X(t) x I exactly
+        U1 = floquet_single(n, 9.0).entries
+        U2 = floquet_single(n, 10.0).entries
+        d = interaction_diag(n, 0.0)
+        X = np.diag(np.cos(2 * np.pi * (np.arange(n) + 0.35) / n)).astype(complex)
+        A = _pattern(side, [X] * n)
+        work = np.empty(n**4, complex)
+        U = U1 if side == "left" else U2
+        for _ in range(4):
+            bipartite.kron_conjugate(U1, U2, A, work, d)
+            X = U.conj().T @ X @ U
+            A4 = A.reshape(n, n, n, n)
+            Xt = A4[:, 0, :, 0] if side == "left" else A4[0, :, 0, :]
+            assert np.array_equal(A, _pattern(side, [Xt] * n))
+            assert np.abs(Xt - X).max() <= 1e-12
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_coupled_kick_keeps_the_pattern_exactly(self, side):
+        # one kick of O x I at b != 0: A(1) = D^dag ((U^dag O U) x I) D is
+        # exactly zero off the pattern, as the exponent 4(t - 1) assumes
+        n = 6
+        U1 = floquet_single(n, 9.0).entries
+        U2 = floquet_single(n, 10.0).entries
+        X = cosine_observable(n, 0.35).entries
+        A = _pattern(side, [X] * n)
+        bipartite.kron_conjugate(U1, U2, A, np.empty(n**4, complex), interaction_diag(n, 0.5))
+        assert not A[_off_pattern(side, n)].any()
+        assert A[~_off_pattern(side, n)].any()
 
 
 def test_diag_conjugate():

@@ -149,6 +149,35 @@ class TestLoadConfig:
         assert len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("field", ["b", "K1", "q0"])
+    def test_nonfinite_float_field(self, field, raw):
+        with pytest.raises(ConfigError, match=f"field '{field}' must be finite"):
+            load_config(overrides=[f"{field}={raw}"])
+
+    def test_nonfinite_tuple_entry(self):
+        with pytest.raises(ConfigError, match="field 'b_list' must be finite"):
+            load_config(overrides=["b_list=0.01,1e400"])
+
+    @pytest.mark.parametrize(
+        "sets, error",
+        [
+            (["b=nan"], "field 'b' must be finite"),
+            (["b=inf"], "field 'b' must be finite"),
+            # finite, but N K / 2 pi overflows in the propagator
+            (["K1=1e308"], "phase N K / 2 pi is not finite"),
+            (["K1=1e308", "path=stochastic", "probes=16"], "phase N K / 2 pi is not finite"),
+        ],
+        ids=["b-nan", "b-inf", "K1-overflow", "K1-overflow-stochastic"],
+    )
+    def test_nonfinite_input_is_one_error_line(self, sets, error, tmp_path, capsys):
+        # each used to exit 0 with NaN rows from t = 1 on and NaN in the sidecar
+        assert main(_argv("rotor_otoc", tmp_path, ["N=8", "T=3", *sets])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}")
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_path(self):
         # a misspelt path used to run the dense series silently
         with pytest.raises(ConfigError, match="unknown path 'stochastc'.*dense, stochastic"):

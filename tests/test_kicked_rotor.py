@@ -46,8 +46,14 @@ class TestFloquetSingle:
         assert np.allclose(U.entries, free)
 
     def test_rejects_nonfinite_kick(self):
-        with pytest.raises(ValueError):
-            floquet_single(4, float("nan"))
+        for K in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="phase N K / 2 pi is not finite"):
+                floquet_single(4, K)
+
+    def test_rejects_overflowing_kick_phase(self):
+        # K is finite, but N K / 2 pi overflows to inf
+        with pytest.raises(ValueError, match="phase N K / 2 pi is not finite"):
+            floquet_single(64, 1e308)
 
 
 class TestInteractionDiag:
@@ -65,6 +71,11 @@ class TestInteractionDiag:
 
     def test_unimodular(self):
         assert np.allclose(np.abs(interaction_diag(7, 1.3)), 1.0)
+
+    @pytest.mark.parametrize("b", [float("nan"), -float("inf"), 1e308])
+    def test_rejects_nonfinite_phase(self, b):
+        with pytest.raises(ValueError, match="phase N b / 2 pi is not finite"):
+            interaction_diag(64, b)
 
     def test_symmetric_in_subsystems(self):
         N = 6

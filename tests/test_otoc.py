@@ -173,12 +173,15 @@ class TestDenseSeries:
 
 
 class TestTwoBuffers:
-    def test_series_holds_two_operators(self):
-        # A(t) and the kick's scratch; the traces add 1/N of an operator
+    @pytest.mark.parametrize("a_side", ["left", "right"])
+    def test_series_holds_two_operators(self, a_side):
+        # A(t) and the kick's scratch; the traces add 1/N of an operator, and
+        # the structured kicks of t = 1, 2 keep their stacks in the scratch
         N = 24
         F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
         o = cosine_observable(N, 0.35)
-        A0, B0 = embed(o, "left", N), embed(o, "right", N)
+        b_side = "right" if a_side == "left" else "left"
+        A0, B0 = embed(o, a_side, N), embed(o, b_side, N)
         tracemalloc.start()
         try:
             otoc_series_dense(F, A0, B0, T=3)
@@ -212,6 +215,13 @@ class TestKickInvariants:
         )
         with pytest.raises(FloatingPointError, match="drifted"):
             otoc_series_dense(leaky, A0, B0, T=2)
+
+    def test_non_finite_propagator_raises(self, small_system):
+        # a NaN drift compares False against the tolerance; it must still fail
+        F, A0, B0 = small_system
+        broken = dataclasses.replace(F, Ub_diag=np.full_like(F.Ub_diag, np.nan))
+        with pytest.raises(FloatingPointError, match="drifted by nan"):
+            otoc_series_dense(broken, A0, B0, T=2)
 
     def test_hermiticity_survives_forty_kicks(self):
         N = 16
