@@ -10,13 +10,13 @@ the same memory.  All routines here cost O(N^3)..O(N^5) instead of the
 naive O(N^4)..O(N^6), and every product runs on BLAS-able (batched,
 possibly strided) matrices, so no step copies a transposed operator.  The
 dense kick, Kronecker factors and diagonal interaction phase together,
-runs in place in A and picks its route from A's exact zero pattern: an
-O(N^3) write for A = X x I, one N^5 gemm pass for an A block-diagonal in
-one subsystem (the second kick of a local observable), and otherwise 4 N^5
-in blocks of rows and then of columns through a caller's scratch, which may
-be a fraction of an operator.  The phase rides in per-index copies of a
-factor, N^3 entries, so no route allocates anything of operator size or
-makes an elementwise pass over A.
+runs in place in A and picks its route from A's exact zero pattern, in one
+orientation, with A(0) on subsystem 1: an O(N^3) write for A = X x I, one
+N^5 gemm pass for A = sum_i X_i x |i><i| (the second kick of a local
+observable), and otherwise 4 N^5 in blocks of rows and then of columns
+through a caller's scratch, which may be a fraction of an operator.  The
+phase rides in per-index copies of a factor, N^3 entries, so no route
+allocates anything of operator size or makes an elementwise pass over A.
 """
 
 import numpy as np
@@ -93,20 +93,20 @@ def kron_conjugate(U1, U2, A, work, d):
     entries d, without forming the Kronecker product or D.  The route
     follows A's exact zero pattern:
 
-    - A block-diagonal on one side, A = sum_i X_i x |i><i| (or
-      |i><i| x X_i), is exactly zero wherever the other subsystem's row and
-      column index differ.  Two sentinel entries, A[0, 1] and A[0, N], rule
-      that out for a dense A in one comparison; otherwise one
-      ``np.count_nonzero`` pass over A, N^4 reads, decides it.  A diagonal
-      A is block-diagonal on both sides.
-    - Product route: if every X_i is the same X on a side, so A = X x I or
-      I x X, the kick is D^dag ((U^dag X U) x I) D, U the factor on X's
-      side, written onto the pattern alone in O(N^3); A stays exactly zero
-      off it.  This takes the other factor's V^dag V as the identity, so it
-      needs a unitary V.
-    - Block route: otherwise Y_i = U^dag X_i U, and all of A is one
-      (N, N) @ (N, N^2) gemm per index j of X's side, N^5 multiply-adds
-      in all: sum_i [D^dag (Y_i x V^dag |i><i| V) D] restricted to j, with
+    - A = sum_i X_i x |i><i| is exactly zero wherever the subsystem-2 row
+      and column index differ.  One sentinel entry, A[0, 1], rules that out
+      for a dense A in one comparison; otherwise one ``np.count_nonzero``
+      pass over A, N^4 reads, decides it.  A diagonal A has the pattern.
+      Callers put a local A(0) on subsystem 1 (``otoc.kicked_c2_c4``
+      mirrors one on subsystem 2), so an A = sum_i |i><i| x X_i without
+      this pattern takes the general route.
+    - Product route: if every X_i is the same X, so A = X x I, the kick is
+      D^dag ((U1^dag X U1) x I) D, written onto the pattern alone in
+      O(N^3); A stays exactly zero off it.  This takes U2^dag U2 as the
+      identity, so it needs a unitary U2.
+    - Block route: otherwise Y_i = U1^dag X_i U1, and all of A is one
+      (N, N) @ (N, N^2) gemm per outer row index j, N^5 multiply-adds in
+      all: sum_i [D^dag (Y_i x U2^dag |i><i| U2) D] restricted to j, with
       both phases of D folded into the two factors.
     - General route, two blocked passes of 2 N^5 each: the row pass takes
       w contiguous rows at a time to A (U1 x U2) D, U1 on the outer column
@@ -124,78 +124,49 @@ def kron_conjugate(U1, U2, A, work, d):
     The block route keeps two N^3 stacks, the Y_i and one gemm operand, in
     ``work`` when it holds 2 N^3 entries (up to N = 90 at the kick's
     scratch of min(N^4, 2^21) entries), else in fresh arrays, and forms one
-    N^3 factor stack of V and d, as the general route does.
+    N^3 factor stack of U2 and d, as the general route does.
     """
     dim = A.shape[0]
     n = split_dim(dim)
     if work.size < dim:
         raise ValueError(f"scratch of {work.size} entries is below dim = {dim}")
     d = d.reshape(n, n)
-    patterns = _block_patterns(A, n)
-    for side, X in patterns:  # a diagonal A has both
-        if all(np.array_equal(Xi, X[0]) for Xi in X[1:]):
-            _product_conjugate(U1, U2, X, d, side)
-            return
-    if patterns:
-        _block_conjugate(U1, U2, A, work, d, *patterns[0])
-    else:
+    # X[i] = X_i, a writable view of A's entries with equal subsystem-2 indices
+    X = np.einsum("aibi->iab", A.reshape(n, n, n, n))
+    if A[0, 1] or np.count_nonzero(X) != np.count_nonzero(A):
         _two_pass_conjugate(U1, U2, A, work, d)
+    elif all(np.array_equal(Xi, X[0]) for Xi in X[1:]):
+        _product_conjugate(U1, X, d)
+    else:
+        _block_conjugate(U1, U2, A, work, d, X)
 
 
-def _block_patterns(A, n):
-    """The sides on which A is block-diagonal exactly, as pairs ("left", X)
-    for A = sum_i X_i x |i><i| and ("right", X) for A = sum_i |i><i| x X_i;
-    X is the writable (N, N, N) view of A's entries on that pattern,
-    X[i] = X_i."""
-    if A[0, 1] and A[0, n]:
-        return []
-    A4 = A.reshape(n, n, n, n)
-    nnz = np.count_nonzero(A)
-    patterns = []
-    for side, sentinel, subscripts in (
-        ("left", A[0, 1], "aibi->iab"), ("right", A[0, n], "iaib->iab")
-    ):
-        if not sentinel:
-            X = np.einsum(subscripts, A4)  # a view
-            if np.count_nonzero(X) == nnz:
-                patterns.append((side, X))
-    return patterns
-
-
-def _product_conjugate(U1, U2, X, d, side):
-    """The product route: X[i] <- U^dag X[0] U with D's phases for index i,
-    U the factor on X's side."""
-    U = U1 if side == "left" else U2
-    Y = U.conj().T @ X[0] @ U
-    # X[i] sits at (a, i, b, i) on the left, (i, a, i, b) on the right, so D
-    # contributes conj(d[a, i]) d[b, i] or conj(d[i, a]) d[i, b]
-    for Xi, phase in zip(X, d.T if side == "left" else d):
+def _product_conjugate(U1, X, d):
+    """The product route: X[i] <- U1^dag X[0] U1 with D's phases for
+    index i."""
+    Y = U1.conj().T @ X[0] @ U1
+    # X[i] sits at (a, i, b, i), where D contributes conj(d[a, i]) d[b, i]
+    for Xi, phase in zip(X, d.T):
         np.multiply(phase.conj()[:, None] * Y, phase, out=Xi)
 
 
-def _block_conjugate(U1, U2, A, work, d, side, X):
-    """The block route: Y_i = U^dag X_i U, then one gemm per index j of X's
-    side writes A's rows with that index."""
+def _block_conjugate(U1, U2, A, work, d, X):
+    """The block route: Y_i = U1^dag X_i U1, then one gemm per outer row
+    index j writes A's rows (j, a2)."""
     n, dim = d.shape[0], A.shape[0]
-    U, V = (U1, U2) if side == "left" else (U2, U1)
     if work.size >= 2 * n**3:
         Y, G = work.reshape(-1)[:2 * n**3].reshape(2, n, n, n)
     else:
         Y, G = np.empty((2, n, n, n), complex)
     np.copyto(Y, X)
-    np.matmul(U.conj().T, Y, out=G)
-    np.matmul(G, U, out=Y)
-    # Q[i, b1, b2] = V[i, b] d[b1, b2], b the other subsystem's column index
-    Q = np.einsum("ik,jk->ijk" if side == "left" else "ij,jk->ijk", V, d)
-    Vh = V.conj().T
+    np.matmul(U1.conj().T, Y, out=G)
+    np.matmul(G, U1, out=Y)
+    Q = np.einsum("ik,jk->ijk", U2, d)  # Q[i, b1, b2] = U2[i, b2] d[b1, b2]
+    U2h = U2.conj().T
     rows = A.reshape(n, n, dim)
-    for j in range(n):
-        if side == "left":  # rows (j, a2): conj(d[j, a2]) V^dag, Y_i[j, b1]
-            L, y, out = d[j].conj()[:, None] * Vh, Y[:, j, :, None], rows[j]
-        else:  # rows (a1, j): conj(d[a1, j]) V^dag, Y_i[j, b2]
-            L, y, out = d[:, j].conj()[:, None] * Vh, Y[:, j, None, :], rows[:, j]
-        np.multiply(y, Q, out=G)
-        np.matmul(L, G.reshape(n, dim), out=out)
+    for j in range(n):  # conj(d[j, a2]) U2^dag against Y_i[j, b1] Q[i]
+        np.multiply(Y[:, j, :, None], Q, out=G)
+        np.matmul(d[j].conj()[:, None] * U2h, G.reshape(n, dim), out=rows[j])
 
 
 def _two_pass_conjugate(U1, U2, A, work, d):

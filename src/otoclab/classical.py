@@ -142,7 +142,7 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, *, rng):
     Generator the caller seeds; there is no unseeded default.  Realizations
     where the bracket vanishes identically inside the window are excluded
     (measure zero up to roundoff); more than 1% exclusions aborts the
-    estimate.
+    estimate.  An overflow of the tangent map or C_cl raises, naming the kick.
     At b = 0 the tangent map is block-diagonal, so dq1/dp2 vanishes
     identically and the estimate is refused before anything is drawn.
     """
@@ -165,16 +165,23 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, *, rng):
     v = (zeros, zeros, np.ones(ensemble), zeros)
     times, mean_logs = [], []
     excluded = 0
-    for t in range(1, t_hi + 1):
-        v = _tangent_column_step(v, q1, q2, K1, K2, b)
-        p1, q1, p2, q2 = _step_arrays(p1, q1, p2, q2, K1, K2, b)
-        if t < t_lo:
-            continue
-        c_cl = np.sin(_TWO_PI * q1) ** 2 * sin_q2_0_sq * v[1] ** 2
-        good = c_cl > 0.0
-        excluded = max(excluded, ensemble - int(good.sum()))
-        times.append(t)
-        mean_logs.append(np.log(c_cl[good]).mean())
+    with np.errstate(over="raise", invalid="raise"):  # finite inputs: only overflow
+        try:
+            for t in range(1, t_hi + 1):
+                v = _tangent_column_step(v, q1, q2, K1, K2, b)
+                p1, q1, p2, q2 = _step_arrays(p1, q1, p2, q2, K1, K2, b)
+                if t < t_lo:
+                    continue
+                c_cl = np.sin(_TWO_PI * q1) ** 2 * sin_q2_0_sq * v[1] ** 2
+                good = c_cl > 0.0
+                excluded = max(excluded, ensemble - int(good.sum()))
+                times.append(t)
+                mean_logs.append(np.log(c_cl[good]).mean())
+        except FloatingPointError:
+            raise FloatingPointError(
+                f"the tangent map or C_cl overflows at kick {t} for (K1, K2, b) = "
+                f"({K1}, {K2}, {b}); weaken the kicks or end the fit window earlier"
+            ) from None
     if excluded > 0.01 * ensemble:
         raise RuntimeError(
             f"{excluded} of {ensemble} realizations had a vanishing bracket"

@@ -37,7 +37,7 @@ def floquet_single(N, K, alpha=0.35):
     n = np.arange(N)
     kick = np.exp(-1j * strength * np.cos(2 * np.pi * (n + alpha) / N))
     free = np.exp(1j * np.pi * (n[None, :] - n[:, None]) ** 2 / N) / np.sqrt(N)
-    return OperatorMatrix(free * kick[None, :], role="unitary")
+    return OperatorMatrix(free * kick[None, :])
 
 
 def interaction_diag(N, b, alpha=0.35):
@@ -75,8 +75,7 @@ class CoupledFloquet:
         )
 
     def dense(self):
-        """Materialize the N^2 x N^2 matrix (budget permitting), untagged:
-        its unitary factors are checked at N x N, not by an O(N^6) U^dag U."""
+        """Materialize the N^2 x N^2 matrix (budget permitting)."""
         check_budget(self.N**2)
         big = np.kron(self.U1.entries, self.U2.entries) * self.Ub_diag[None, :]
         return OperatorMatrix(big)

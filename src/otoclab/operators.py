@@ -22,9 +22,6 @@ from . import bipartite
 KICK_SCRATCH_BYTES = 2**25
 DENSE_BUDGET_BYTES = 2**30 + KICK_SCRATCH_BYTES
 
-UNITARY_TOL = 1e-10
-HERMITIAN_TOL = 1e-12
-
 
 class BudgetError(ValueError):
     """The dense path's buffers would exceed the memory budget."""
@@ -47,14 +44,12 @@ def check_budget(dim):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex square matrix with a structural role tag.
-
-    ``role`` is one of ``"unitary"``, ``"hermitian"``, ``"general"``; the
-    corresponding structure is checked at construction time.
-    """
+    """Dense complex square matrix with read-only entries.  Structure is
+    checked by value where it is used: Hermiticity by
+    :func:`otoclab.otoc.saturation_value`, unitarity by the norm drift of
+    every dense kick."""
 
     entries: np.ndarray
-    role: str = "general"
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -62,16 +57,6 @@ class OperatorMatrix:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "entries", m)
         m.setflags(write=False)
-        if self.role == "unitary":
-            dev = np.abs(m.conj().T @ m - np.eye(self.dim)).max()
-            if dev >= UNITARY_TOL:
-                raise ValueError(f"matrix tagged unitary deviates by {dev:.3e}")
-        elif self.role == "hermitian":
-            dev = np.abs(m - m.conj().T).max()
-            if dev >= HERMITIAN_TOL:
-                raise ValueError(f"matrix tagged hermitian deviates by {dev:.3e}")
-        elif self.role != "general":
-            raise ValueError(f"unknown role {self.role!r}")
 
     @property
     def dim(self):
@@ -111,20 +96,20 @@ def translation_p(N, alpha=0.0):
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     phases = np.exp(2j * np.pi * (np.arange(N) + alpha) / N)
-    return OperatorMatrix(np.diag(phases), role="unitary")
+    return OperatorMatrix(np.diag(phases))
 
 
 def translation_q(N):
     """Cyclic position shift |n> -> |n+1 mod N>."""
     _check_N(N)
-    return OperatorMatrix(np.roll(np.eye(N), 1, axis=0), role="unitary")
+    return OperatorMatrix(np.roll(np.eye(N), 1, axis=0))
 
 
 def cosine_observable(N, alpha=0.0):
     """The observable (T_p + T_p^dag)/2 = diag cos(2 pi (n+alpha)/N)."""
     _check_N(N)
     vals = np.cos(2 * np.pi * (np.arange(N) + alpha) / N)
-    return OperatorMatrix(np.diag(vals).astype(complex), role="hermitian")
+    return OperatorMatrix(np.diag(vals))
 
 
 def gue_observable(N, rng_seed):
@@ -137,7 +122,7 @@ def gue_observable(N, rng_seed):
     _check_N(N)
     rng = np.random.default_rng(rng_seed)
     m = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return OperatorMatrix((m + m.conj().T) / 2, role="hermitian")
+    return OperatorMatrix((m + m.conj().T) / 2)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,15 @@ and B every path evaluates C2 = ||A(t) B S||_F^2 and C = ||[A(t), B] S||_F^2
 / 2, so C >= 0 by construction, and C4 = C2 - C.  The dense path takes S = I
 and conjugates the full product-space A in place, through the Kronecker
 structure of the propagator, in one call of
-:func:`otoclab.bipartite.kron_conjugate` per step.  The local A(0) = O x I
-stays exactly zero off its block-diagonal pattern for one kick, so the
-first kick is an O(N^3) write onto that pattern and the second one N^5 gemm
-pass, each after one O(N^4) count of A's nonzeros; from the third on a step
-is two blocked passes of 2 N^5 through a scratch of at most
-KICK_SCRATCH_BYTES, with the diagonal interaction applied inside their
-products.  It holds one operator of memory plus that
-scratch and an N^3 factor stack.
+:func:`otoclab.bipartite.kron_conjugate` per step.  The OTOC is unchanged
+when the subsystems swap, so an A(0) on subsystem 2 is mirrored once onto
+subsystem 1.  The local A(0) = O x I stays exactly zero off its
+block-diagonal pattern for one kick, so the first kick is an O(N^3) write
+onto that pattern and the second one N^5 gemm pass, each after one O(N^4)
+count of A's nonzeros; from the third on a step is two blocked passes of
+2 N^5 through a scratch of at most KICK_SCRATCH_BYTES, with the diagonal
+interaction applied inside their products.  It holds one operator of memory
+plus that scratch and an N^3 factor stack.
 Its traces take one O(N^4) pass: for B = I x O or O x I, O = V diag(lam)
 V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
@@ -40,7 +41,7 @@ from scipy.special import j0
 
 from . import bipartite
 from .kicked_rotor import apply_floquet
-from .operators import Embedded, OperatorMatrix, kick_scratch_bytes
+from .operators import Embedded, kick_scratch_bytes
 
 # First zero of the Bessel function J0; mu(b) diverges there.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -183,18 +184,23 @@ def kicked_c2_c4(A0, B0, kicks):
     :func:`otoclab.bipartite.kron_conjugate`, in place in A(0) =
     ``A0.dense()``, through a flat scratch of min(16 dim^2,
     KICK_SCRATCH_BYTES) bytes: the whole operator up to N = 32, 1/8 of it at
-    N = 64.  For the local A0 the first kick costs O(N^3) and the second
-    N^5, each later one 4 N^5 (the routes of ``kron_conjugate``).  Returns
-    two arrays for t = 0 .. number of kicks.  Every kick checks that
-    ||A(t)||_F stays at ||A(0)||_F.
+    N = 64.  An A0 on subsystem 2 is mirrored once, which leaves C2 and C4
+    unchanged: A0 to subsystem 1, B0 to the other side, each kick to
+    (U2, U1, d^T) with d as (N, N).  The kicks then take the routes of
+    ``kron_conjugate`` from A(0) = O x I.  Returns two arrays for t = 0 ..
+    number of kicks.  Every kick checks that ||A(t)||_F stays at ||A(0)||_F.
     """
+    if A0.side == "right":
+        A0 = replace(A0, side="left")
+        B0 = replace(B0, side="left" if B0.side == "right" else "right")
+        kicks = ((U2, U1, d.reshape(len(U1), -1).T.ravel()) for U1, U2, d in kicks)
     A = A0.dense()
     work = np.empty(kick_scratch_bytes(A0.dim) // 16, complex)
     if B0.diagonal is not None:
         lam, V = B0.diagonal.real, None
     else:  # rotate the traces into O's eigenbasis
         lam, v = np.linalg.eigh(B0.op.entries)
-        V = replace(B0, op=OperatorMatrix(v)).factors
+        V = (v, None) if B0.side == "left" else (None, v)
     c2, c4, norm0 = _traces(A, B0, lam, V)
     c2s, c4s = [c2], [c4]
     for t, (U1, U2, d) in enumerate(kicks, start=1):

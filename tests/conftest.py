@@ -2,6 +2,8 @@ import multiprocessing
 
 import pytest
 
+from otoclab import bipartite
+
 
 @pytest.fixture(autouse=True)
 def no_child_outlives_test():
@@ -14,3 +16,17 @@ def no_child_outlives_test():
         child.join(timeout=10)
     if children:
         pytest.fail(f"{len(children)} child processes outlived the test")
+
+
+@pytest.fixture
+def general_route_calls(monkeypatch):
+    """The arguments of every call of the dense kick's two-pass route."""
+    calls = []
+    two_pass = bipartite._two_pass_conjugate
+
+    def spy(*args):
+        calls.append(args)
+        two_pass(*args)
+
+    monkeypatch.setattr(bipartite, "_two_pass_conjugate", spy)
+    return calls

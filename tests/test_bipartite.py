@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otoclab import bipartite
+from otoclab import bipartite, otoc
 from otoclab.kicked_rotor import floquet_single, interaction_diag
 from otoclab.operators import OperatorMatrix, cosine_observable, embed
 from otoclab.rmt import sample_cue
@@ -180,20 +180,6 @@ def _kicked(U1, U2, d, A):
     return U.conj().T @ A @ U
 
 
-@pytest.fixture
-def general_route_calls(monkeypatch):
-    """The arguments of every call of the two-pass route."""
-    calls = []
-    two_pass = bipartite._two_pass_conjugate
-
-    def spy(*args):
-        calls.append(args)
-        two_pass(*args)
-
-    monkeypatch.setattr(bipartite, "_two_pass_conjugate", spy)
-    return calls
-
-
 class TestKickRoutes:
     """kron_conjugate's product and block routes against np.kron, for the
     unitary factors every kick passes it."""
@@ -213,8 +199,11 @@ class TestKickRoutes:
         want = _kicked(U1, U2, d, A)
         bipartite.kron_conjugate(U1, U2, A, np.full(n * n, np.nan, complex), d)
         assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
-        assert not A[_off_pattern(side, n)].any()
-        assert general_route_calls == []
+        # the fast routes take X x I; I x X has that pattern only for a
+        # diagonal X, and otherwise takes the general route
+        assert len(general_route_calls) == (side == "right" and factor == "gue")
+        if side == "left":
+            assert not A[_off_pattern(side, n)].any()
 
     @pytest.mark.parametrize("work", ["dim", "two_stacks", "operator"])
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -226,7 +215,7 @@ class TestKickRoutes:
         size = {"dim": n * n, "two_stacks": 2 * n**3, "operator": n**4}[work]
         bipartite.kron_conjugate(U1, U2, A, np.full(size, np.nan, complex), d)
         assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
-        assert general_route_calls == []
+        assert len(general_route_calls) == (side == "right")
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_zero_sentinels_of_a_dense_operator(self, n, general_route_calls):
@@ -238,37 +227,49 @@ class TestKickRoutes:
         assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
         assert len(general_route_calls) == 1
 
+    @staticmethod
+    def _held_operators(monkeypatch, side, n, kicks):
+        """A(t) after each kick of a series of the cosine A(0) on ``side``,
+        as kicked_c2_c4 holds it: mirrored onto subsystem 1 for side
+        "right"."""
+        held, kick = [], bipartite.kron_conjugate
+
+        def spy(U1, U2, A, work, d):
+            kick(U1, U2, A, work, d)
+            held.append(A.copy())
+
+        monkeypatch.setattr(bipartite, "kron_conjugate", spy)
+        o = cosine_observable(n, 0.35)
+        other = "right" if side == "left" else "left"
+        otoc.kicked_c2_c4(embed(o, side, n), embed(o, other, n), kicks)
+        return held
+
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_uncoupled_series_stays_a_product(self, n, side):
+    def test_uncoupled_series_stays_a_product(self, n, side, monkeypatch):
         # at b = 0 every kick takes the product route: A(t) = X(t) x I exactly
         U1 = floquet_single(n, 9.0).entries
         U2 = floquet_single(n, 10.0).entries
-        d = interaction_diag(n, 0.0)
-        X = np.diag(np.cos(2 * np.pi * (np.arange(n) + 0.35) / n)).astype(complex)
-        A = _pattern(side, [X] * n)
-        work = np.empty(n**4, complex)
+        kicks = [(U1, U2, interaction_diag(n, 0.0))] * 4
+        X = cosine_observable(n, 0.35).entries
         U = U1 if side == "left" else U2
-        for _ in range(4):
-            bipartite.kron_conjugate(U1, U2, A, work, d)
+        for A in self._held_operators(monkeypatch, side, n, kicks):
             X = U.conj().T @ X @ U
-            A4 = A.reshape(n, n, n, n)
-            Xt = A4[:, 0, :, 0] if side == "left" else A4[0, :, 0, :]
-            assert np.array_equal(A, _pattern(side, [Xt] * n))
+            Xt = A.reshape(n, n, n, n)[:, 0, :, 0]
+            assert np.array_equal(A, _pattern("left", [Xt] * n))
             assert np.abs(Xt - X).max() <= 1e-12
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_coupled_kick_keeps_the_pattern_exactly(self, side):
-        # one kick of O x I at b != 0: A(1) = D^dag ((U^dag O U) x I) D is
-        # exactly zero off the pattern, as the exponent 4(t - 1) assumes
+    def test_coupled_kick_keeps_the_pattern_exactly(self, side, monkeypatch):
+        # one kick of the local A(0) at b != 0: A(1) = D^dag ((U^dag O U) x I) D
+        # is exactly zero off the pattern, as the exponent 4(t - 1) assumes
         n = 6
         U1 = floquet_single(n, 9.0).entries
         U2 = floquet_single(n, 10.0).entries
-        X = cosine_observable(n, 0.35).entries
-        A = _pattern(side, [X] * n)
-        bipartite.kron_conjugate(U1, U2, A, np.empty(n**4, complex), interaction_diag(n, 0.5))
-        assert not A[_off_pattern(side, n)].any()
-        assert A[~_off_pattern(side, n)].any()
+        kicks = [(U1, U2, interaction_diag(n, 0.5))]
+        (A,) = self._held_operators(monkeypatch, side, n, kicks)
+        assert not A[_off_pattern("left", n)].any()
+        assert A[~_off_pattern("left", n)].any()
 
 
 def test_diag_conjugate():

@@ -178,6 +178,15 @@ class TestClassicalLyapunov:
                 classical_lyapunov(9.0, 10.0, 0.0, ensemble=2000, rng=rng)
         assert rng.bit_generator.state == state
 
+    def test_overflow_names_the_kick(self):
+        # dq1/dp2 reaches about b K1 at kick 3, where C_cl ~ (dq1/dp2)^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                FloatingPointError, match=r"at kick 3 for \(K1, K2, b\) = \(1e\+308, 10.0, 0.05\)"
+            ):
+                classical_lyapunov(1e308, 10.0, 0.05, ensemble=1000, rng=np.random.default_rng(0))
+
 
 class TestTangentColumn:
     def test_matches_full_matrix_oracles(self):

@@ -351,6 +351,24 @@ class TestMain:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "sets, kick",
+        [(["K1=1e308"], "3"), (["lyap_window=2,400"], r"\d+")],
+        ids=["K1-overflow", "long-window"],
+    )
+    def test_classical_overflow_is_one_error_line(self, sets, kick, tmp_path, capsys):
+        # the first used to print RuntimeWarnings, then blame a vanishing
+        # bracket; the second exited 0 with a NaN fit and NaN in the sidecar
+        argv = _argv("classical_lyapunov", tmp_path, ["b=0.05", "ensemble=1000", *sets])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.match(
+            rf"error: the tangent map or C_cl overflows at kick {kick} for \(K1, K2, b\) = \(",
+            err,
+        )
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "exc", [FloatingPointError("norm drifted"), RuntimeError("fit failed"), MemoryError()]
     )
     def test_run_failures_are_one_line(self, monkeypatch, capsys, exc):

@@ -21,19 +21,6 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError, match="square"):
             OperatorMatrix(np.zeros((2, 3)))
 
-    def test_rejects_false_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            OperatorMatrix(2 * np.eye(3), role="unitary")
-
-    def test_rejects_false_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="hermitian"):
-            OperatorMatrix(m, role="hermitian")
-
-    def test_rejects_unknown_role(self):
-        with pytest.raises(ValueError, match="role"):
-            OperatorMatrix(np.eye(2), role="banana")
-
     def test_entries_immutable(self):
         op = OperatorMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -142,7 +129,7 @@ class TestEmbed:
         o = cosine_observable(4, 0.1)
         big = embed(o, "left", 5)
         assert big.dim == 20
-        assert big.op.role == "hermitian"
+        assert np.array_equal(big.op.entries, big.op.entries.conj().T)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_dense_is_kron(self, side):
@@ -160,7 +147,7 @@ class TestEmbed:
         assert abs(t_big - 4 * t_small) < 1e-9
 
     def test_identity_case(self):
-        eye = OperatorMatrix(np.eye(3), role="hermitian")
+        eye = OperatorMatrix(np.eye(3))
         big = embed(eye, "left", 3)
         assert np.allclose(big.dense(), np.eye(9))
 
@@ -203,7 +190,7 @@ class TestEmbeddedApply:
     def test_diagonal_equals_the_gemm(self, side, N, k, gemm_calls):
         # a real diagonal, as every diagonal Hermitian factor has
         vals = np.random.default_rng(N).standard_normal(N)
-        e = embed(OperatorMatrix(np.diag(vals), role="hermitian"), side, N)
+        e = embed(OperatorMatrix(np.diag(vals)), side, N)
         assert np.array_equal(e.diagonal, vals)
         X = _block(N, k, k)
         got = e.apply(X, np.empty_like(X))
@@ -220,7 +207,7 @@ class TestEmbeddedApply:
     def test_tiny_off_diagonal_takes_the_gemm(self, side, gemm_calls):
         m = np.diag(np.arange(1.0, 6.0)).astype(complex)
         m[1, 3] = m[3, 1] = 1e-300
-        e = embed(OperatorMatrix(m, role="hermitian"), side, 5)
+        e = embed(OperatorMatrix(m), side, 5)
         assert e.diagonal is None
         X = _block(5, 4, 1)
         got = e.apply(X, np.empty_like(X))

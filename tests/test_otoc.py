@@ -129,7 +129,7 @@ class TestDenseSeries:
 
     def test_requires_embedded_B(self, small_system):
         F, A0, B0 = small_system
-        bare = OperatorMatrix(B0.dense(), role="hermitian")
+        bare = OperatorMatrix(B0.dense())
         with pytest.raises(ValueError, match="embedded"):
             otoc_series_dense(F, A0, bare, T=1)
 
@@ -172,6 +172,40 @@ class TestDenseSeries:
         assert np.abs(series.c - (c2 - c4)).max() <= 1e-12 * series.c_infinity
 
 
+class TestMirror:
+    """kicked_c2_c4 mirrors an A(0) on subsystem 2 onto subsystem 1: the
+    kicks swap U1 and U2 and transpose the interaction, and B0 changes
+    side."""
+
+    @pytest.mark.parametrize("b_side", ["left", "right"])
+    @pytest.mark.parametrize("kind", ["cosine", "gue"])
+    @pytest.mark.parametrize("Nb", [0.0, 1.5])
+    def test_right_A_is_the_left_A_with_the_kicks_swapped(self, Nb, kind, b_side):
+        # the rotor's interaction depends on n1 + n2 only, so d^T = d, and
+        # swapping K1 and K2 swaps U1 and U2
+        N = 8
+        if kind == "cosine":
+            oa = ob = cosine_observable(N, 0.35)
+        else:
+            oa, ob = gue_observable(N, 3), gue_observable(N, 4)
+        other = "right" if b_side == "left" else "left"
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=Nb / N))
+        F_swapped = coupled_floquet(SystemParams(N=N, K1=10.0, K2=9.0, b=Nb / N))
+        right = otoc_series_dense(F, embed(oa, "right", N), embed(ob, b_side, N), T=5)
+        left = otoc_series_dense(F_swapped, embed(oa, "left", N), embed(ob, other, N), T=5)
+        assert np.array_equal(right.c2, left.c2)
+        assert np.array_equal(right.c4, left.c4)
+
+    @pytest.mark.parametrize("a_side", ["left", "right"])
+    def test_first_two_kicks_skip_the_general_route(self, a_side, general_route_calls):
+        N = 6
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=1.5 / N))
+        o = cosine_observable(N, 0.35)
+        b_side = "right" if a_side == "left" else "left"
+        otoc_series_dense(F, embed(o, a_side, N), embed(o, b_side, N), T=6)
+        assert len(general_route_calls) == 4  # kicks 3 to 6
+
+
 class TestTwoBuffers:
     @pytest.mark.parametrize("a_side", ["left", "right"])
     def test_series_holds_two_operators(self, a_side):
@@ -211,7 +245,7 @@ class TestKickInvariants:
     def test_non_unitary_propagator_raises(self, small_system):
         F, A0, B0 = small_system
         leaky = dataclasses.replace(
-            F, U1=OperatorMatrix(1.000001 * F.U1.entries, role="general")
+            F, U1=OperatorMatrix(1.000001 * F.U1.entries)
         )
         with pytest.raises(FloatingPointError, match="drifted"):
             otoc_series_dense(leaky, A0, B0, T=2)
