@@ -38,13 +38,6 @@ def block_dim(X):
     raise ValueError(f"shape {X.shape} is neither (N^2,) nor an (N, k, N) probe block")
 
 
-def as_block(cols):
-    """The (N, k, N) probe block of an (N^2, k) stack of column vectors, as
-    a strided view."""
-    n = split_dim(cols.shape[0])
-    return cols.reshape(n, n, -1).transpose(0, 2, 1)
-
-
 def check_out(X, out):
     """Refuse an ``out`` that is not a C-contiguous array of X's shape."""
     if out.shape != X.shape or not out.flags.c_contiguous:

@@ -142,7 +142,12 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, *, rng):
     Generator the caller seeds; there is no unseeded default.  Realizations
     where the bracket vanishes identically inside the window are excluded
     (measure zero up to roundoff); more than 1% exclusions aborts the
-    estimate.  An overflow of the tangent map or C_cl raises, naming the kick.
+    estimate.  Before each kick, a trajectory's v whose largest entry has
+    passed 1e100 is divided by that entry and the log of the factor kept, as
+    in ``poisson_otoc``, so windows of any length stay finite.  A kick then
+    overflows only if it alone stretches v by about 1e54, past what double
+    precision resolves; an overflow of the tangent map or C_cl raises,
+    naming the kick.
     At b = 0 the tangent map is block-diagonal, so dq1/dp2 vanishes
     identically and the estimate is refused before anything is drawn.
     """
@@ -163,11 +168,17 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, *, rng):
     sin_q2_0_sq = np.sin(_TWO_PI * q2) ** 2
     zeros = np.zeros(ensemble)
     v = (zeros, zeros, np.ones(ensemble), zeros)
+    log_scale = np.zeros(ensemble)  # ln of the factor divided out of v
     times, mean_logs = [], []
     excluded = 0
     with np.errstate(over="raise", invalid="raise"):  # finite inputs: only overflow
         try:
             for t in range(1, t_hi + 1):
+                peak = np.maximum.reduce([np.abs(x) for x in v])
+                big = peak > 1e100
+                if big.any():
+                    v = tuple(np.where(big, x / peak, x) for x in v)
+                    log_scale[big] += np.log(peak[big])
                 v = _tangent_column_step(v, q1, q2, K1, K2, b)
                 p1, q1, p2, q2 = _step_arrays(p1, q1, p2, q2, K1, K2, b)
                 if t < t_lo:
@@ -176,7 +187,7 @@ def classical_lyapunov(K1, K2, b, ensemble=100_000, fit_window=None, *, rng):
                 good = c_cl > 0.0
                 excluded = max(excluded, ensemble - int(good.sum()))
                 times.append(t)
-                mean_logs.append(np.log(c_cl[good]).mean())
+                mean_logs.append((np.log(c_cl[good]) + 2.0 * log_scale[good]).mean())
         except FloatingPointError:
             raise FloatingPointError(
                 f"the tangent map or C_cl overflows at kick {t} for (K1, K2, b) = "

@@ -18,13 +18,14 @@ from . import bipartite
 # The dense kick's scratch is at most KICK_SCRATCH_BYTES: one whole operator
 # up to N = 32, a block of rows or columns above.  DENSE_BUDGET_BYTES is 1 GiB
 # for A(t) plus that scratch, so dim <= 2^13 (N = 90).  Larger systems must
-# use the stochastic path.
+# use the stochastic path, whose five probe blocks, 80 N^2 k bytes for k
+# probes, the same budget caps (:func:`probe_block_width`).
 KICK_SCRATCH_BYTES = 2**25
 DENSE_BUDGET_BYTES = 2**30 + KICK_SCRATCH_BYTES
 
 
 class BudgetError(ValueError):
-    """The dense path's buffers would exceed the memory budget."""
+    """The dense operator or the probe blocks would exceed the memory budget."""
 
 
 def kick_scratch_bytes(dim):
@@ -40,6 +41,20 @@ def check_budget(dim):
             f"scratch, over the budget of {DENSE_BUDGET_BYTES} bytes; "
             "use path=stochastic for larger systems"
         )
+
+
+def probe_block_width(N, width):
+    """The number of probes, at most ``width``, whose five (N, k, N) blocks
+    of the stochastic path, 80 N^2 k bytes, fit the budget; BudgetError
+    when one probe does not fit."""
+    per_probe = 80 * N**2
+    k = min(width, DENSE_BUDGET_BYTES // per_probe)
+    if k < 1:
+        raise BudgetError(
+            f"stochastic dimension N = {N} needs {per_probe} bytes for five "
+            f"one-probe blocks, over the budget of {DENSE_BUDGET_BYTES} bytes"
+        )
+    return k
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,16 @@ V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
 and ||A(t)||_F^2 = sum W.  The stochastic path takes for S a block Z of
 random-phase probe vectors, E[Z Z^dag] = I, and builds no product-space
-matrix: it propagates PROBE_BLOCK probes at a time, each block an
+matrix: it propagates up to PROBE_BLOCK probes at a time, each block an
 (N, k, N) array on which every Floquet factor and every observable factor
 with off-diagonal entries is one 2-D gemm, and a diagonal observable factor
 one elementwise product (:meth:`otoclab.operators.Embedded.apply`), in
-T(T+3) O(N^3) Floquet applications per probe over T kicks, and holds Z
-plus five blocks, allocated once per series.  Observables are
-subsystem factors from :func:`otoclab.operators.embed`; C_inf is
-:func:`saturation_value` of them.
+T(T+3) O(N^3) Floquet applications per probe over T kicks.  Each block
+draws its own probes when it starts, so Z is never whole: whatever the
+probe count, the series holds five blocks, 80 N^2 k bytes allocated once,
+within the budget of :func:`otoclab.operators.probe_block_width`.
+Observables are subsystem factors from :func:`otoclab.operators.embed`;
+C_inf is :func:`saturation_value` of them.
 Both paths take either side for either observable: A = O1 x I against
 B = I x O2 is the bipartite OTOC, and B = O2 x I the same-subsystem one.
 """
@@ -41,7 +43,7 @@ from scipy.special import j0
 
 from . import bipartite
 from .kicked_rotor import apply_floquet
-from .operators import Embedded, kick_scratch_bytes
+from .operators import Embedded, kick_scratch_bytes, probe_block_width
 
 # First zero of the Bessel function J0; mu(b) diverges there.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -56,7 +58,8 @@ LYAPUNOV_FLOOR = 1e-12
 # Largest relative drift of ||A(t)||_F that a unitary kick may show.
 NORM_DRIFT_TOL = 1e-10
 
-# Probe vectors propagated together on the stochastic path.
+# Probe vectors propagated together on the stochastic path, unless the
+# budget allows fewer.
 PROBE_BLOCK = 32
 
 
@@ -244,31 +247,32 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
     ||A(t) B z||^2 and ||A(t) B z - B A(t) z||^2 / 2 are unbiased estimates
     of C2 and C, and ``c_err`` is the standard error of the latter.  A0 and
     B0 come from :func:`otoclab.operators.embed` and are applied through
-    their N x N factors, so no budget applies.
+    their N x N factors.
 
-    The probes run PROBE_BLOCK at a time, each block an (N, k, N) array
-    (see :mod:`otoclab.bipartite`), so every Floquet factor is one 2-D gemm
-    over the block; the observables go through
+    The probes run k at a time, k = PROBE_BLOCK unless the budget of
+    :func:`otoclab.operators.probe_block_width` allows fewer, each block an
+    (N, k, N) array (see :mod:`otoclab.bipartite`), so every Floquet factor
+    is one 2-D gemm over the block; the observables go through
     :meth:`otoclab.operators.Embedded.apply`, one gemm, or one elementwise
     product for a diagonal factor such as the cosine.  Per block, f = U^t B z
     and g = U^t z advance by one forward kick per step, and A f and A g go
     back by t adjoint kicks: T(T+3) Floquet applications per probe over the
     series.
-    The five blocks g, f, y, w and a scratch are allocated once per series
-    and every application writes into one of them.  Besides Z, those five
-    blocks are alive; drawing Z holds it and its real phases, half its size.
+    Probe p is z = exp(2 pi i u) for the N^2 draws p N^2 .. (p + 1) N^2 - 1
+    of ``rng``, in the layout of a length-N^2 vector.  Each block draws its
+    own probes when it starts, into the scratch, so the series takes the
+    same numbers from ``rng`` whatever k is.  The five blocks g, f, y, w and
+    the scratch, 80 N^2 k bytes, are allocated once per series; every
+    application writes into one of them, and nothing else grows with the
+    probe count but the (T + 1) x probes estimates.
     """
     if probes < 16:
         raise ValueError("need at least 16 probe vectors")
     N = F.N
     _check_embedded(N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)
-    # Z = exp(2 pi i u) is formed in place, so the draw holds Z and u (8
-    # bytes an entry), not Z and a complex temporary.
-    Z = rng.random((N**2, probes)).astype(complex)
-    Z *= 2j * np.pi
-    np.exp(Z, out=Z)
-    buffers = np.empty((5, N * min(PROBE_BLOCK, probes) * N), complex)
+    width = probe_block_width(N, min(PROBE_BLOCK, probes))
+    buffers = np.empty((5, N * width * N), complex)
 
     def back_propagate(x, spare, t):
         for _ in range(t):
@@ -277,11 +281,14 @@ def otoc_series_stochastic(F, A0, B0, T, probes, rng, meta=None):
 
     e2 = np.empty((T + 1, probes))
     e = np.empty((T + 1, probes))
-    for start in range(0, probes, PROBE_BLOCK):
-        cols = slice(start, start + PROBE_BLOCK)
-        k = min(PROBE_BLOCK, probes - start)
+    for start in range(0, probes, width):
+        cols = slice(start, start + width)
+        k = min(width, probes - start)
         g, f, y, w, s = (buf[:N * k * N].reshape(N, k, N) for buf in buffers)
-        np.copyto(g, bipartite.as_block(Z[:, cols]))
+        # the block's phases u, probe-major, in the scratch's float64 view
+        u = rng.random(out=buffers[4].view(np.float64)[:k * N * N].reshape(k, N, N))
+        np.multiply(u.transpose(1, 0, 2), 2j * np.pi, out=g)
+        np.exp(g, out=g)
         B0.apply(g, out=f)
         for t in range(T + 1):
             if t:

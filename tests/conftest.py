@@ -5,6 +5,13 @@ import pytest
 from otoclab import bipartite
 
 
+def as_block(cols):
+    """The (N, k, N) probe block of an (N^2, k) stack of column vectors, as
+    a strided view."""
+    n = bipartite.split_dim(cols.shape[0])
+    return cols.reshape(n, n, -1).transpose(0, 2, 1)
+
+
 @pytest.fixture(autouse=True)
 def no_child_outlives_test():
     """Fail a test after which a child process is still alive, such as a

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_block
 from otoclab import bipartite, otoc
 from otoclab.kicked_rotor import floquet_single, interaction_diag
 from otoclab.operators import OperatorMatrix, cosine_observable, embed
@@ -44,7 +45,7 @@ class TestApplyLocal:
         n, k = 3, 5
         U1 = _random_complex(rng, n, n)
         U2 = _random_complex(rng, n, n)
-        batch = bipartite.as_block(_random_complex(rng, n * n, k))
+        batch = as_block(_random_complex(rng, n * n, k))
         got = bipartite.apply_local(batch, U1, U2)
         for j in range(k):
             assert np.allclose(
@@ -59,7 +60,7 @@ class TestApplyLocal:
         U1, U2 = _factor_pair(rng, n, which)
         cols = _random_complex(rng, n * n, k)
         out = np.full((n, k, n), np.nan, complex)
-        got = bipartite.apply_local(bipartite.as_block(cols), U1, U2, out=out)
+        got = bipartite.apply_local(as_block(cols), U1, U2, out=out)
         assert got is out
         for j in range(k):
             want = bipartite.apply_local(cols[:, j].copy(), U1, U2)
@@ -303,7 +304,7 @@ class TestApplyLocalOperator:
         rng = np.random.default_rng(seed)
         X = _random_complex(rng, n * n, n * n)
         U1, U2 = _factor_pair(rng, n, which)
-        got = bipartite.apply_local(bipartite.as_block(X), U1, U2)
+        got = bipartite.apply_local(as_block(X), U1, U2)
         assert got.shape == (n, n * n, n)
         assert np.allclose(_from_block(got), _kron(U1, U2, n) @ X)
 
@@ -327,7 +328,7 @@ def test_embedded_factors(side):
     op = OperatorMatrix(_random_complex(rng, n, n))
     e = embed(op, side, n)
     X = _random_complex(rng, n * n, n * n)
-    got = bipartite.apply_local(bipartite.as_block(X), *e.factors)
+    got = bipartite.apply_local(as_block(X), *e.factors)
     assert np.allclose(_from_block(got), e.dense() @ X)
     assert np.allclose(bipartite.right_multiply_embedded(X, *e.factors), X @ e.dense())
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otoclab import cli
+from otoclab import cli, operators
 from otoclab.cli import (
     SCENARIOS,
     ConfigError,
@@ -339,25 +340,32 @@ class TestMain:
     def test_stochastic_path_runs_past_the_dense_budget(
         self, scenario, sets, header, tmp_path
     ):
-        # N^2 = 9216 exceeds the dense budget; the stochastic path needs none
+        # N^2 = 9216 exceeds the dense budget; the probe blocks fit it
         sets = ["N=96", "path=stochastic", "probes=16", *sets]
         assert main(_argv(scenario, tmp_path, sets)) == 0
         (csv,) = tmp_path.glob("*.csv")
         assert csv.read_text().splitlines()[0] == header
+
+    def test_probe_blocks_over_the_budget_are_one_error_line(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # one probe at N = 16 takes 80 N^2 = 20480 bytes in the five blocks
+        monkeypatch.setattr(operators, "DENSE_BUDGET_BYTES", 20479)
+        sets = ["N=16", "T=3", "path=stochastic", "probes=16"]
+        assert main(_argv("rotor_otoc", tmp_path, sets)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stochastic dimension N = 16 needs 20480 bytes")
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
 
     def test_config_error(self, capsys):
         rc = main(["--set", "N=not_a_number"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "sets, kick",
-        [(["K1=1e308"], "3"), (["lyap_window=2,400"], r"\d+")],
-        ids=["K1-overflow", "long-window"],
-    )
+    @pytest.mark.parametrize("sets, kick", [(["K1=1e308"], "3")], ids=["K1-overflow"])
     def test_classical_overflow_is_one_error_line(self, sets, kick, tmp_path, capsys):
-        # the first used to print RuntimeWarnings, then blame a vanishing
-        # bracket; the second exited 0 with a NaN fit and NaN in the sidecar
+        # this used to print RuntimeWarnings, then blame a vanishing bracket
         argv = _argv("classical_lyapunov", tmp_path, ["b=0.05", "ensemble=1000", *sets])
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -367,6 +375,17 @@ class TestMain:
         )
         assert len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
+
+    def test_classical_long_window_is_finite(self, tmp_path, capsys):
+        # C_cl passes the largest double near kick 196; the tangent vectors
+        # are rescaled, so ln C_cl stays finite to kick 400
+        sets = ["b=0.05", "ensemble=1000", "lyap_window=2,400"]
+        assert main(_argv("classical_lyapunov", tmp_path, sets)) == 0
+        (json_path,) = tmp_path.glob("*.json")
+        fit = json.loads(json_path.read_text())["fits"]["classical_lyapunov"]
+        assert fit["window"] == [2, 400]
+        assert all(math.isfinite(fit[k]) for k in ("slope", "intercept", "slope_stderr"))
+        assert fit["slope"] > 0
 
     @pytest.mark.parametrize(
         "exc", [FloatingPointError("norm drifted"), RuntimeError("fit failed"), MemoryError()]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otoclab.bipartite import as_block
+from conftest import as_block
 from otoclab.kicked_rotor import (
     apply_floquet,
     coupled_floquet,

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otoclab import otoc
-from otoclab.bipartite import apply_local, as_block, kron_conjugate
+from otoclab import operators, otoc
+from otoclab.bipartite import apply_local, kron_conjugate
 from otoclab.kicked_rotor import apply_floquet, coupled_floquet
 from otoclab.operators import (
     KICK_SCRATCH_BYTES,
@@ -376,9 +376,10 @@ class TestCommutatorIdentity:
 def _all_at_once_stochastic(F, A0, B0, T, probes, rng):
     """The probe estimator with every probe in one (N, probes, N) block and
     U^t z rebuilt from z at every t: 2T(T+1) Floquet applications per probe.
-    The oracle for the blocked, incremental path."""
+    The oracle for the blocked, incremental path.  Probe p is the p-th
+    N^2 draws of ``rng``."""
     a, b = A0.factors, B0.factors
-    Z = as_block(np.exp(2j * np.pi * rng.random((F.N**2, probes))))
+    Z = np.exp(2j * np.pi * rng.random((probes, F.N, F.N)).transpose(1, 0, 2))
 
     def heisenberg_apply(batch, t):
         out = batch
@@ -412,6 +413,13 @@ def _rotor_pair(N, kind, b_side):
     else:
         o1, o2 = gue_observable(N, 1), gue_observable(N, 2)
     return F, embed(o1, "left", N), embed(o2, b_side, N)
+
+
+def _assert_same_estimates(got, want):
+    """c2, c4 and c_err agree to 1e-12 of each one's largest |value|."""
+    for name in ("c2", "c4", "c_err"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 class TestProbeBlocks:
@@ -451,20 +459,64 @@ class TestProbeBlocks:
         assert len(calls) == blocks * T * (T + 3)
         assert calls.count("forward") == blocks * 2 * T
 
-    def test_holds_z_and_a_few_blocks(self):
-        N, T, probes = 16, 3, 8 * PROBE_BLOCK
+    @pytest.mark.parametrize("width", [7, 64])
+    @pytest.mark.parametrize("N", [6, 16])
+    def test_block_width_moves_no_number(self, monkeypatch, N, width):
+        # every block draws its own probes from one stream, probe-major
+        F, A0, B0 = _rotor_pair(N, "gue", "right")
+        T, probes = 5, 3 * PROBE_BLOCK + 5
+        want = otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(N))
+        monkeypatch.setattr(otoc, "PROBE_BLOCK", width)
+        got = otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(N))
+        _assert_same_estimates(got, want)
+
+    def test_peak_is_independent_of_the_probe_count(self):
+        N, T = 16, 3
         F, A0, B0 = _rotor_pair(N, "cosine", "right")
+        peaks = {}
+        for probes in (2 * PROBE_BLOCK, 16 * PROBE_BLOCK):
+            tracemalloc.start()
+            try:
+                otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(1))
+                peaks[probes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # five blocks are allocated, and the probes are drawn into one
+            block_bytes = 16 * N**2 * PROBE_BLOCK
+            results_bytes = 2 * 8 * (T + 1) * probes
+            assert peaks[probes] < 7 * block_bytes + results_bytes
+        few, many = peaks.values()
+        assert abs(many / few - 1) < 0.1, peaks
+
+
+class TestProbeBudget:
+    """The five probe blocks, 80 N^2 k bytes, are capped by the budget."""
+
+    def test_small_budget_narrows_the_blocks(self, monkeypatch):
+        N, T, probes = 16, 4, 3 * PROBE_BLOCK + 5
+        F, A0, B0 = _rotor_pair(N, "gue", "right")
+        want = otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(3))
+        # room for seven probes a block
+        monkeypatch.setattr(operators, "DENSE_BUDGET_BYTES", 7 * 80 * N**2 + 80)
+        assert operators.probe_block_width(N, PROBE_BLOCK) == 7
+        got = otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(3))
+        _assert_same_estimates(got, want)
+
+    def test_refused_before_allocating(self, monkeypatch):
+        N = 16
+        F, A0, B0 = _rotor_pair(N, "cosine", "right")
+        monkeypatch.setattr(operators, "DENSE_BUDGET_BYTES", 80 * N**2 - 1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         tracemalloc.start()
         try:
-            otoc_series_stochastic(F, A0, B0, T, probes, np.random.default_rng(1))
+            with pytest.raises(BudgetError, match=f"needs {80 * N**2} bytes"):
+                otoc_series_stochastic(F, A0, B0, 2, 32, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the draw holds Z and its real phases, half of Z, and no complex
-        # temporary of Z's size
-        z_bytes = 16 * N**2 * probes
-        block_bytes = 16 * N**2 * PROBE_BLOCK
-        assert peak < z_bytes + 8 * block_bytes
+        assert peak < 16 * N**2 * PROBE_BLOCK  # not one block
+        assert rng.bit_generator.state == state  # nothing was drawn
 
 
 def _synthetic_series(times, c_norm, c_inf=1024.0):
