@@ -4,9 +4,11 @@ Index layout is row-major with the subsystem-1 index outer: a product-space
 vector of length N^2 reshapes to an (n1, n2) matrix, and an operator on the
 product space reshapes to the four-index tensor T[a1, a2, b1, b2].  A block
 of k probe vectors is held as an (N, k, N) array (subsystem-1 index, probe,
-subsystem-2 index), so that a local factor on either subsystem is one 2-D
-gemm over the whole block; a length-N^2 vector is the k = 1 block, with
-the same memory.  All routines here cost O(N^3)..O(N^5) instead of the
+subsystem-2 index); a length-N^2 vector is the k = 1 block, with the same
+memory.  A local factor is one N x N matrix, or its diagonal, acting on one
+side, "left" for subsystem 1 and "right" for subsystem 2; on a block,
+:func:`apply_local` applies the matrix as one 2-D gemm and the diagonal as
+one elementwise product.  All routines here cost O(N^3)..O(N^5) instead of the
 naive O(N^4)..O(N^6), and every product runs on BLAS-able (batched,
 possibly strided) matrices, so no step copies a transposed operator.  The
 dense kick, Kronecker factors and diagonal interaction phase together,
@@ -44,40 +46,41 @@ def check_out(X, out):
         raise ValueError(f"out must be a C-contiguous array of shape {X.shape}")
 
 
-def apply_local(X, U1=None, U2=None, out=None):
-    """(U1 x U2) X for a probe block X of shape (N, k, N), or a length-N^2
-    vector, the k = 1 block; a None factor is the identity.  U1 is one
-    (N, N) @ (N, kN) gemm on the outer index, U2 one (kN, N) @ (N, N)
-    gemm on the inner one.  The result goes to ``out`` when given, a
-    C-contiguous array of X's shape.  With both factors the product
-    between the two gemms is a fresh block."""
+def apply_local(X, U, side, out=None):
+    """(U x I) X for side "left", (I x U) X for "right", on a probe block X
+    of shape (N, k, N), or a length-N^2 vector, the k = 1 block.  An (N, N)
+    factor is one 2-D gemm over the block: (N, N) @ (N, kN) on the outer
+    index, or (kN, N) @ (N, N) on the inner one.  An (N,) factor is the
+    diagonal of U, applied as one elementwise product.  The result goes to
+    ``out`` when given, a C-contiguous array of X's shape."""
     n = block_dim(X)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if out is None:
         out = np.empty(X.shape, complex)
     else:
         check_out(X, out)
-    src = X
-    if U1 is not None:
-        dst = out if U2 is None else np.empty_like(out)
-        np.matmul(U1, src.reshape(n, -1), out=dst.reshape(n, -1))
-        src = dst
-    if U2 is not None:
-        np.matmul(src.reshape(-1, n), U2.T, out=out.reshape(-1, n))
-    elif U1 is None:
-        np.copyto(out, X)
+    if U.ndim == 1:
+        d = U.reshape(n, 1, 1) if side == "left" else U
+        np.multiply(d, X.reshape(n, -1, n), out=out.reshape(n, -1, n))
+    elif side == "left":
+        np.matmul(U, X.reshape(n, -1), out=out.reshape(n, -1))
+    else:
+        np.matmul(X.reshape(-1, n), U.T, out=out.reshape(-1, n))
     return out
 
 
-def right_multiply_embedded(X, U1=None, U2=None):
-    """X (U1 x U2) for X with N^2 columns; a None factor is the identity.
-    U2 acts on the inner column index, then U1 on the outer one, batched
-    over the rows."""
+def right_multiply_embedded(X, U, side):
+    """X (U x I) for side "left", X (I x U) for "right", for X with N^2
+    columns: U on the outer or the inner column index, batched over the
+    rows."""
     n = split_dim(X.shape[-1])
-    out = X
-    if U2 is not None:
-        out = out.reshape(-1, n) @ U2
-    if U1 is not None:
-        out = U1.T @ out.reshape(-1, n, n)
+    if side == "left":
+        out = U.T @ X.reshape(-1, n, n)
+    elif side == "right":
+        out = X.reshape(-1, n) @ U
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return out.reshape(X.shape)
 
 

@@ -35,6 +35,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -280,32 +281,23 @@ def _rotor_series(cfg, o1, o2, side2="right"):
     return otoc_series_dense(F, a0, b0, cfg.T)
 
 
+def _cosine_pair(cfg):
+    o = cosine_observable(cfg.N, cfg.alpha)
+    return o, o
+
+
 def _gue_pair(cfg):
     return tuple(gue_observable(cfg.N, task_rng(cfg.seed, k)) for k in (1, 2))
 
 
-def _run_rotor_otoc(cfg, out, stem):
-    o = cosine_observable(cfg.N, cfg.alpha)
-    series = _rotor_series(cfg, o, o)
-    return _series_columns(series), _phase_fits(series, cfg), []
-
-
-def _run_gue_otoc(cfg, out, stem):
-    series = _rotor_series(cfg, *_gue_pair(cfg))
-    return _series_columns(series), _phase_fits(series, cfg), []
-
-
-def _run_weak_chaos(cfg, out, stem):
-    series = _rotor_series(cfg, *_gue_pair(cfg))
+def _run_rotor(cfg, out, stem, pair, side2, loglog=False):
+    """The rotor-OTOC scenarios: the observables ``pair(cfg)``, B on
+    ``side2``, both phase fits and, for weak chaos, the log-log fit."""
+    series = _rotor_series(cfg, *pair(cfg), side2)
     fits = _phase_fits(series, cfg)
-    _try_fit(fits, "loglog", lambda: _loglog_fit(series))
+    if loglog:
+        _try_fit(fits, "loglog", lambda: _loglog_fit(series))
     return _series_columns(series), fits, []
-
-
-def _run_same_subspace(cfg, out, stem):
-    o = cosine_observable(cfg.N, cfg.alpha)
-    series = _rotor_series(cfg, o, o, side2="left")
-    return _series_columns(series), _phase_fits(series, cfg), []
 
 
 def _run_rmt(cfg, out, stem):
@@ -324,8 +316,7 @@ def _run_rmt(cfg, out, stem):
 
 
 def _rate_point(cfg):
-    o = cosine_observable(cfg.N, cfg.alpha)
-    series = _rotor_series(cfg, o, o)
+    series = _rotor_series(cfg, *_cosine_pair(cfg))
     # not _try_fit: a point that cannot be fitted fails the scan
     fit = fit_relaxation_phase(series, cfg.relax_window or None)
     eps = epsilon_from_b(cfg.N, cfg.b)
@@ -401,15 +392,15 @@ def _run_husimi(cfg, out, stem):
 
 # Scenario name -> runner(cfg, out_dir, file_stem) -> (columns, fits, extra_files)
 SCENARIOS = {
-    "rotor_otoc": _run_rotor_otoc,
+    "rotor_otoc": partial(_run_rotor, pair=_cosine_pair, side2="right"),
     "rmt_otoc": _run_rmt,
     "rate_scan": _run_rate_scan,
     "classical_lyapunov": _run_classical,
     "husimi": _run_husimi,
     "pr_series": _run_pr_series,
-    "same_subspace": _run_same_subspace,
-    "gue_otoc": _run_gue_otoc,
-    "weak_chaos": _run_weak_chaos,
+    "same_subspace": partial(_run_rotor, pair=_cosine_pair, side2="left"),
+    "gue_otoc": partial(_run_rotor, pair=_gue_pair, side2="right"),
+    "weak_chaos": partial(_run_rotor, pair=_gue_pair, side2="right", loglog=True),
 }
 
 
@@ -487,7 +478,7 @@ def _config_from_argv(argv):
 def main(argv=None):
     try:
         record = run(_config_from_argv(argv))
-    except (ValueError, FloatingPointError, RuntimeError, MemoryError) as exc:
+    except (ValueError, FloatingPointError, RuntimeError, MemoryError, OSError) as exc:
         # a bare MemoryError carries no message
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -113,11 +113,11 @@ def apply_floquet(F, psi, direction="forward", out=None):
     x, y = psi.reshape(N, -1, N), out.reshape(N, -1, N)
     if direction == "forward":  # (U1 x U2) D
         np.multiply(x, F.Ub_diag.reshape(N, 1, N), out=y)
-        bipartite.apply_local(y, F.U1.entries, out=x)
-        bipartite.apply_local(x, None, F.U2.entries, out=y)
+        bipartite.apply_local(y, F.U1.entries, "left", out=x)
+        bipartite.apply_local(x, F.U2.entries, "right", out=y)
     else:  # D^dag (U1^dag x U2^dag)
         U1h, U2h, d_conj = F.adjoint_factors
-        bipartite.apply_local(x, U1h, out=y)
-        bipartite.apply_local(y, None, U2h, out=x)
+        bipartite.apply_local(x, U1h, "left", out=y)
+        bipartite.apply_local(y, U2h, "right", out=x)
         np.multiply(x, d_conj, out=y)
     return out

@@ -143,12 +143,14 @@ def gue_observable(N, rng_seed):
 @dataclass(frozen=True)
 class Embedded:
     """``op x I`` (side "left") or ``I x op`` (side "right") with an identity
-    of dimension ``n_other``, stored as the factor ``op`` alone.
+    of dimension ``n_other``, stored as the factor ``op`` alone: the pair
+    (``op.entries``, ``side``) is what :func:`otoclab.bipartite.apply_local`
+    and :func:`otoclab.bipartite.right_multiply_embedded` take.
 
     :attr:`diagonal` holds the factor's diagonal when every off-diagonal
     entry is exactly zero, as for the cosine observable; :meth:`apply` then
-    multiplies elementwise instead of running a gemm, and the dense path's
-    traces skip the eigenbasis rotation."""
+    passes it instead, one elementwise product in place of a gemm, and the
+    dense path's traces skip the eigenbasis rotation."""
 
     side: str
     op: OperatorMatrix
@@ -164,14 +166,6 @@ class Embedded:
     def dim(self):
         return self.op.dim * self.n_other
 
-    @property
-    def factors(self):
-        """The local factors ``(U1, U2)`` of this observable, None standing
-        for the identity: arguments for :func:`otoclab.bipartite.apply_local`
-        and :func:`otoclab.bipartite.right_multiply_embedded`."""
-        m = self.op.entries
-        return (m, None) if self.side == "left" else (None, m)
-
     @cached_property
     def diagonal(self):
         """The factor's diagonal if all its off-diagonal entries are exactly
@@ -182,20 +176,13 @@ class Embedded:
 
     def apply(self, X, out):
         """This observable on a probe block X of shape (N, k, N), or a
-        length-N^2 vector, into ``out``, a C-contiguous array of X's shape.
-        With a :attr:`diagonal` it is one elementwise product; for the real
-        diagonal of a Hermitian factor that equals the gemm bit for bit,
-        since the gemm only adds exact zeros to it.  Otherwise it is
-        :func:`otoclab.bipartite.apply_local`."""
-        d = self.diagonal
-        if d is None:
-            return bipartite.apply_local(X, *self.factors, out=out)
-        n = bipartite.block_dim(X)
-        bipartite.check_out(X, out)
-        if self.side == "left":
-            d = d.reshape(n, 1, 1)
-        np.multiply(d, X.reshape(n, -1, n), out=out.reshape(n, -1, n))
-        return out
+        length-N^2 vector, into ``out``, a C-contiguous array of X's shape:
+        :func:`otoclab.bipartite.apply_local` of the :attr:`diagonal` when
+        there is one, one elementwise product, else of the factor, one gemm.
+        For the real diagonal of a Hermitian factor the two are equal bit
+        for bit, since the gemm only adds exact zeros to it."""
+        factor = self.op.entries if self.diagonal is None else self.diagonal
+        return bipartite.apply_local(X, factor, self.side, out)
 
     def dense(self):
         """The dim x dim Kronecker product, checked against the budget: the

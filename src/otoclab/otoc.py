@@ -21,10 +21,10 @@ row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
 and ||A(t)||_F^2 = sum W.  The stochastic path takes for S a block Z of
 random-phase probe vectors, E[Z Z^dag] = I, and builds no product-space
 matrix: it propagates up to PROBE_BLOCK probes at a time, each block an
-(N, k, N) array on which every Floquet factor and every observable factor
-with off-diagonal entries is one 2-D gemm, and a diagonal observable factor
-one elementwise product (:meth:`otoclab.operators.Embedded.apply`), in
-T(T+3) O(N^3) Floquet applications per probe over T kicks.  Each block
+(N, k, N) array to which every Floquet and observable factor is one
+:func:`otoclab.bipartite.apply_local` on its side: one 2-D gemm, or one
+elementwise product for a diagonal observable factor, in T(T+3) O(N^3)
+Floquet applications per probe over T kicks.  Each block
 draws its own probes when it starts, so Z is never whole: whatever the
 probe count, the series holds five blocks, 80 N^2 k bytes allocated once,
 within the budget of :func:`otoclab.operators.probe_block_width`.
@@ -155,21 +155,21 @@ def _check_embedded(N, *observables):
             raise ValueError("observables must live on the product space")
 
 
-def _traces(A, B0, lam, V):
+def _traces(A, side, lam, v):
     """C2, C4 and ||A||_F from the weight matrix W of the module docstring,
     reduced in row blocks of the other subsystem, 1/N of the operator each.
-    B0's factor has eigenvalues lam; V is the factor pair of its
-    eigenvectors, None for a diagonal factor.  W >= 0, so C >= 0."""
+    B0's factor, on ``side``, has eigenvalues lam and eigenvector matrix v,
+    None for a diagonal factor.  W >= 0, so C >= 0."""
     n = len(lam)
-    k = 0 if B0.side == "left" else 1  # B0's subsystem
+    k = 0 if side == "left" else 1  # B0's subsystem
     # one reduction per block over its float64 view (n, n, 2n): B0's row
     # index, the outer column index, and the inner one as (real, imag) pairs
     subscripts = "ijk,ijk->ij" if k == 0 else "ijk,ijk->ik"
     W = np.zeros((n, n) if k == 0 else (n, 2 * n))
     for block in np.moveaxis(A.reshape(n, n, n, n), 1 - k, 0):
         block = block.reshape(n, n * n)  # rows: B0's row index
-        if V is not None:
-            block = bipartite.right_multiply_embedded(V[k].conj().T @ block, *V)
+        if v is not None:
+            block = bipartite.right_multiply_embedded(v.conj().T @ block, v, side)
         x = block.view(np.float64).reshape(n, n, 2 * n)
         W += np.einsum(subscripts, x, x)
     if k == 1:
@@ -200,15 +200,14 @@ def kicked_c2_c4(A0, B0, kicks):
     A = A0.dense()
     work = np.empty(kick_scratch_bytes(A0.dim) // 16, complex)
     if B0.diagonal is not None:
-        lam, V = B0.diagonal.real, None
+        lam, v = B0.diagonal.real, None
     else:  # rotate the traces into O's eigenbasis
         lam, v = np.linalg.eigh(B0.op.entries)
-        V = (v, None) if B0.side == "left" else (None, v)
-    c2, c4, norm0 = _traces(A, B0, lam, V)
+    c2, c4, norm0 = _traces(A, B0.side, lam, v)
     c2s, c4s = [c2], [c4]
     for t, (U1, U2, d) in enumerate(kicks, start=1):
         bipartite.kron_conjugate(U1, U2, A, work, d)
-        c2, c4, norm = _traces(A, B0, lam, V)
+        c2, c4, norm = _traces(A, B0.side, lam, v)
         _check_norm(norm, norm0, t)
         c2s.append(c2)
         c4s.append(c4)

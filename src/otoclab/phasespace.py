@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .kicked_rotor import apply_floquet
 
 
@@ -55,6 +56,15 @@ class CoherentFrame:
 
 
 def coherent_frame(N, alpha=0.35):
+    """The frame of N^2 states, 16 N^3 bytes.  With the frame-sized
+    temporary of :func:`reduced_husimi` that is 32 N^3 bytes, checked
+    against the budget before anything is allocated."""
+    need = 32 * N**3
+    if need > operators.DENSE_BUDGET_BYTES:
+        raise operators.BudgetError(
+            f"Husimi frame at N = {N} needs {need} bytes for the frame and one "
+            f"frame-sized temporary, over the budget of {operators.DENSE_BUDGET_BYTES} bytes"
+        )
     g = harper_ground_state(N, alpha)
     tp = np.exp(2j * np.pi * (np.arange(N) + alpha) / N)
     powers = tp[None, :] ** np.arange(N)[:, None]  # powers[m] = diag of T_p^m

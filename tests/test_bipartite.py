@@ -20,17 +20,23 @@ def test_split_dim():
         bipartite.split_dim(50)
 
 
+def _kron_of(U, side, n):
+    """The N^2 x N^2 matrix of an (N, N) factor, or of an (N,) diagonal,
+    on ``side``."""
+    M = np.diag(U) if U.ndim == 1 else U
+    return np.kron(M, np.eye(n)) if side == "left" else np.kron(np.eye(n), M)
+
+
 class TestApplyLocal:
     @given(n=st.integers(2, 6), seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_matches_kron_matvec(self, n, seed):
         rng = np.random.default_rng(seed)
-        U1 = _random_complex(rng, n, n)
-        U2 = _random_complex(rng, n, n)
         psi = _random_complex(rng, n * n)
-        want = np.kron(U1, U2) @ psi
-        got = bipartite.apply_local(psi, U1, U2)
-        assert np.allclose(got, want)
+        for side in ("left", "right"):
+            for U in (_random_complex(rng, n, n), _random_complex(rng, n)):
+                want = _kron_of(U, side, n) @ psi
+                assert np.allclose(bipartite.apply_local(psi, U, side), want)
 
     def test_single_factor(self):
         rng = np.random.default_rng(0)
@@ -38,47 +44,76 @@ class TestApplyLocal:
         U2 = _random_complex(rng, n, n)
         psi = _random_complex(rng, n * n)
         want = np.kron(np.eye(n), U2) @ psi
-        assert np.allclose(bipartite.apply_local(psi, U2=U2), want)
+        assert np.allclose(bipartite.apply_local(psi, U2, "right"), want)
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(1)
         n, k = 3, 5
         U1 = _random_complex(rng, n, n)
-        U2 = _random_complex(rng, n, n)
         batch = as_block(_random_complex(rng, n * n, k))
-        got = bipartite.apply_local(batch, U1, U2)
+        got = bipartite.apply_local(batch, U1, "left")
         for j in range(k):
             assert np.allclose(
-                got[:, j].ravel(), bipartite.apply_local(batch[:, j].ravel(), U1, U2)
+                got[:, j].ravel(), bipartite.apply_local(batch[:, j].ravel(), U1, "left")
             )
 
     @pytest.mark.parametrize("which", ["left", "right", "both"])
     @pytest.mark.parametrize("k", [1, 5, 37])
     @pytest.mark.parametrize("n", [5, 6])
     def test_block_matches_columns(self, n, k, which):
+        # "both": U1 x U2 as a left call and then a right one, as apply_floquet
         rng = np.random.default_rng(10 * n + k)
         U1, U2 = _factor_pair(rng, n, which)
         cols = _random_complex(rng, n * n, k)
+
+        def apply(X, out=None):
+            if U1 is not None:
+                X = bipartite.apply_local(X, U1, "left", out=None if U2 is not None else out)
+            if U2 is not None:
+                X = bipartite.apply_local(X, U2, "right", out=out)
+            return X
+
         out = np.full((n, k, n), np.nan, complex)
-        got = bipartite.apply_local(as_block(cols), U1, U2, out=out)
+        got = apply(as_block(cols), out=out)
         assert got is out
         for j in range(k):
-            want = bipartite.apply_local(cols[:, j].copy(), U1, U2)
+            want = apply(cols[:, j].copy())
             assert np.abs(got[:, j].ravel() - want).max() <= 1e-13 * np.abs(want).max()
             assert np.allclose(want, _kron(U1, U2, n) @ cols[:, j])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("k", [1, 5, 37])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_diagonal_block_matches_columns(self, n, k, side):
+        rng = np.random.default_rng(10 * n + k)
+        d = _random_complex(rng, n)
+        cols = _random_complex(rng, n * n, k)
+        out = np.full((n, k, n), np.nan, complex)
+        got = bipartite.apply_local(as_block(cols), d, side, out=out)
+        assert got is out
+        for j in range(k):
+            want = bipartite.apply_local(cols[:, j].copy(), d, side)
+            assert np.array_equal(got[:, j].ravel(), want)
+            assert np.allclose(want, _kron_of(d, side, n) @ cols[:, j])
 
     def test_out_must_be_a_contiguous_block(self):
         rng = np.random.default_rng(2)
         n = 3
         X = _random_complex(rng, n, 4, n)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            bipartite.apply_local(X, X[:, 0], out=np.empty((n, 4, n), complex)[:, ::-1])
-        with pytest.raises(ValueError, match="shape"):
-            bipartite.apply_local(X, X[:, 0], out=np.empty((n, 3, n), complex))
+        for U in (X[:, 0], X[:, 0, 0]):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                bipartite.apply_local(X, U, "left", out=np.empty((n, 4, n), complex)[:, ::-1])
+            with pytest.raises(ValueError, match="shape"):
+                bipartite.apply_local(X, U, "right", out=np.empty((n, 3, n), complex))
 
     def test_rejects_a_column_stack(self):
         with pytest.raises(ValueError, match="probe block"):
-            bipartite.apply_local(np.zeros((9, 4), complex), np.eye(3))
+            bipartite.apply_local(np.zeros((9, 4), complex), np.eye(3), "left")
+
+    @pytest.mark.parametrize("U", [np.eye(3), np.ones(3)], ids=["matrix", "diagonal"])
+    def test_rejects_a_bad_side(self, U):
+        with pytest.raises(ValueError, match="side"):
+            bipartite.apply_local(np.zeros(9, complex), U, "both")
 
 
 def _from_block(block):
@@ -301,10 +336,14 @@ class TestApplyLocalOperator:
     @given(n=st.integers(2, 5), seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_matches_kron(self, which, n, seed):
+        # "both": a left call, then a right one on its result
         rng = np.random.default_rng(seed)
         X = _random_complex(rng, n * n, n * n)
         U1, U2 = _factor_pair(rng, n, which)
-        got = bipartite.apply_local(as_block(X), U1, U2)
+        got = as_block(X)
+        for U, side in ((U1, "left"), (U2, "right")):
+            if U is not None:
+                got = bipartite.apply_local(got, U, side)
         assert got.shape == (n, n * n, n)
         assert np.allclose(_from_block(got), _kron(U1, U2, n) @ X)
 
@@ -312,25 +351,36 @@ class TestApplyLocalOperator:
 class TestRightMultiplyEmbedded:
     @pytest.mark.parametrize("which", ["left", "right", "both"])
     def test_matches_dense(self, which):
+        # "both": a right factor, then a left one on the product
         rng = np.random.default_rng(3)
         n = 4
         X = _random_complex(rng, n * n, n * n)
         U1, U2 = _factor_pair(rng, n, which)
-        got = bipartite.right_multiply_embedded(X, U1, U2)
+        got = X
+        for U, side in ((U2, "right"), (U1, "left")):
+            if U is not None:
+                got = bipartite.right_multiply_embedded(got, U, side)
         assert got.shape == X.shape
         assert np.allclose(got, X @ _kron(U1, U2, n))
+
+    def test_rejects_a_bad_side(self):
+        with pytest.raises(ValueError, match="side"):
+            bipartite.right_multiply_embedded(np.zeros((4, 4), complex), np.eye(2), "up")
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_embedded_factors(side):
+    # an embedded observable's factor and side, for both local routines
     rng = np.random.default_rng(6)
     n = 4
     op = OperatorMatrix(_random_complex(rng, n, n))
     e = embed(op, side, n)
     X = _random_complex(rng, n * n, n * n)
-    got = bipartite.apply_local(as_block(X), *e.factors)
+    got = bipartite.apply_local(as_block(X), e.op.entries, e.side)
     assert np.allclose(_from_block(got), e.dense() @ X)
-    assert np.allclose(bipartite.right_multiply_embedded(X, *e.factors), X @ e.dense())
+    assert np.allclose(
+        bipartite.right_multiply_embedded(X, e.op.entries, e.side), X @ e.dense()
+    )
 
 
 def test_trace_product():

@@ -358,6 +358,23 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
+    def test_missing_config_file_is_one_error_line(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.cfg" in err
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_out_at_an_existing_file_is_one_error_line(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main(_argv("rotor_otoc", target, ["N=8", "T=3"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken" in err
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert target.read_text() == ""
+
     def test_config_error(self, capsys):
         rc = main(["--set", "N=not_a_number"])
         assert rc == 1

@@ -170,18 +170,18 @@ def _block(N, k, seed):
 
 
 class TestEmbeddedApply:
-    """A diagonal factor is applied elementwise, every other one by the
-    gemm of :func:`otoclab.bipartite.apply_local`."""
+    """A diagonal factor is applied elementwise, every other one by one gemm
+    in :func:`otoclab.bipartite.apply_local`."""
 
     @pytest.fixture
     def gemm_calls(self, monkeypatch):
-        calls, gemm = [], bipartite.apply_local
+        calls, gemm = [], np.matmul
 
         def counted(*args, **kwargs):
             calls.append(args)
             return gemm(*args, **kwargs)
 
-        monkeypatch.setattr(bipartite, "apply_local", counted)
+        monkeypatch.setattr(np, "matmul", counted)
         return calls
 
     @pytest.mark.parametrize("k", [1, 5, 37])
@@ -195,13 +195,14 @@ class TestEmbeddedApply:
         X = _block(N, k, k)
         got = e.apply(X, np.empty_like(X))
         assert not gemm_calls
-        assert np.array_equal(got, bipartite.apply_local(X, *e.factors))
+        assert np.array_equal(got, bipartite.apply_local(X, e.op.entries, side))
+        assert gemm_calls
 
     def test_vector_is_the_one_probe_block(self):
         e = embed(cosine_observable(6, 0.35), "left", 6)
         x = _block(6, 1, 0).ravel()
         assert np.array_equal(e.apply(x, np.empty_like(x)),
-                              bipartite.apply_local(x, *e.factors))
+                              bipartite.apply_local(x, e.op.entries, "left"))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_tiny_off_diagonal_takes_the_gemm(self, side, gemm_calls):
@@ -212,7 +213,7 @@ class TestEmbeddedApply:
         X = _block(5, 4, 1)
         got = e.apply(X, np.empty_like(X))
         assert len(gemm_calls) == 1
-        assert np.array_equal(got, bipartite.apply_local(X, *e.factors))
+        assert np.array_equal(got, bipartite.apply_local(X, m, side))
 
     def test_observables(self):
         assert embed(cosine_observable(8, 0.35), "left", 8).diagonal is not None

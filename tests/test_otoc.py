@@ -375,10 +375,11 @@ class TestCommutatorIdentity:
 
 def _all_at_once_stochastic(F, A0, B0, T, probes, rng):
     """The probe estimator with every probe in one (N, probes, N) block and
-    U^t z rebuilt from z at every t: 2T(T+1) Floquet applications per probe.
+    U^t z rebuilt from z at every t: 2T(T+1) Floquet applications per probe,
+    and every observable factor applied as a gemm, diagonal or not.
     The oracle for the blocked, incremental path.  Probe p is the p-th
     N^2 draws of ``rng``."""
-    a, b = A0.factors, B0.factors
+    a, b = (A0.op.entries, A0.side), (B0.op.entries, B0.side)
     Z = np.exp(2j * np.pi * rng.random((probes, F.N, F.N)).transpose(1, 0, 2))
 
     def heisenberg_apply(batch, t):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otoclab import operators
 from otoclab.kicked_rotor import coupled_floquet
-from otoclab.operators import SystemParams, translation_p, translation_q
+from otoclab.operators import BudgetError, SystemParams, translation_p, translation_q
 from otoclab.phasespace import (
     coherent_frame,
     evolve_product_state,
@@ -69,6 +70,14 @@ class TestCoherentFrame:
     def test_index_bounds(self, frame8):
         with pytest.raises(IndexError):
             frame8.state(8, 0)
+
+    def test_budget_is_checked_before_allocating(self, monkeypatch):
+        # the frame and reduced_husimi's temporary take 32 N^3 = 16384 bytes at N = 8
+        monkeypatch.setattr(operators, "DENSE_BUDGET_BYTES", 16383)
+        with pytest.raises(BudgetError, match=r"^Husimi frame at N = 8 needs 16384 bytes"):
+            coherent_frame(8)
+        monkeypatch.setattr(operators, "DENSE_BUDGET_BYTES", 16384)
+        assert coherent_frame(8).states.shape == (64, 8)
 
 
 @pytest.fixture(scope="module")
