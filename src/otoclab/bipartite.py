@@ -19,6 +19,9 @@ observable), and otherwise 4 N^5 in blocks of rows and then of columns
 through a caller's scratch, which may be a fraction of an operator.  The
 phase rides in per-index copies of a factor, N^3 entries, so no route
 allocates anything of operator size or makes an elementwise pass over A.
+On request the last route applies I x U2 alone, 2 N^5 as two gemms per
+row block of A through N^3 entries of the scratch: all that a trace
+against I x O with a diagonal O sees of the kick.
 """
 
 import numpy as np
@@ -84,7 +87,7 @@ def right_multiply_embedded(X, U, side):
     return out.reshape(X.shape)
 
 
-def kron_conjugate(U1, U2, A, work, d):
+def kron_conjugate(U1, U2, A, work, d, inner_only=False):
     """A <- D^dag (U1 x U2)^dag A (U1 x U2) D in place, for diagonal D with
     entries d, without forming the Kronecker product or D.  The route
     follows A's exact zero pattern:
@@ -113,6 +116,15 @@ def kron_conjugate(U1, U2, A, work, d):
       diag(d[b1, :])^dag U2^dag on the inner one.  D rides in those N
       factors, a stack of N^3 entries per pass, so no pass over A applies
       it; one stack is alive at a time.
+    - Inner-only route: with ``inner_only``, the general route instead
+      takes A to (I x U2)^dag A (I x U2), and U1 and D are not applied.
+      That is the kick a trace against B = I x O sees when O is diagonal,
+      since U1 x I and D commute with such a B; ``otoc.kicked_c2_c4`` asks
+      for it on the last kick.  Per outer row index a1, A's contiguous
+      N x N^2 row block takes U2^dag from the left into ``work``, then U2
+      from the right back into A: 2 N^5, in gemm panels at most 8 N wide,
+      with no factor stack.  It needs N^3 entries of ``work``.  The product
+      and block routes ignore ``inner_only``.
 
     Every product is a matmul on BLAS-able operands, so nothing of operator
     size is copied.  The block width is w = min(dim, work.size // dim);
@@ -126,11 +138,16 @@ def kron_conjugate(U1, U2, A, work, d):
     n = split_dim(dim)
     if work.size < dim:
         raise ValueError(f"scratch of {work.size} entries is below dim = {dim}")
+    if inner_only and work.size < n**3:
+        raise ValueError(f"scratch of {work.size} entries is below N^3 = {n**3}")
     d = d.reshape(n, n)
     # X[i] = X_i, a writable view of A's entries with equal subsystem-2 indices
     X = np.einsum("aibi->iab", A.reshape(n, n, n, n))
     if A[0, 1] or np.count_nonzero(X) != np.count_nonzero(A):
-        _two_pass_conjugate(U1, U2, A, work, d)
+        if inner_only:
+            _inner_conjugate(U2, A, work)
+        else:
+            _two_pass_conjugate(U1, U2, A, work, d)
     elif all(np.array_equal(Xi, X[0]) for Xi in X[1:]):
         _product_conjugate(U1, X, d)
     else:
@@ -186,6 +203,21 @@ def _two_pass_conjugate(U1, U2, A, work, d):
         S = buf[:X.size].reshape(X.shape)
         np.matmul(U1h, X.transpose(1, 0, 2), out=S)
         np.matmul(U2hd, S.transpose(1, 0, 2), out=X)
+
+
+def _inner_conjugate(U2, A, work):
+    """The inner-only route of :func:`kron_conjugate`: A <- (I x U2)^dag A
+    (I x U2), one row block of N x N^2 entries at a time."""
+    n = U2.shape[0]
+    p = 8 * n  # gemm panel width; wider panels grow OpenBLAS's buffers
+    U2h = U2.conj().T
+    s = work.reshape(-1)[:n**3].reshape(n, n * n)
+    for R in A.reshape(n, n, n * n):  # rows a2 of one a1, columns (b1, b2)
+        for c in range(0, n * n, p):
+            np.matmul(U2h, R[:, c:c + p], out=s[:, c:c + p])
+        rows, out = s.reshape(-1, n), R.reshape(-1, n)
+        for r in range(0, n * n, p):
+            np.matmul(rows[r:r + p], U2, out=out[r:r + p])
 
 
 def diag_conjugate(d, A):

@@ -405,9 +405,12 @@ SCENARIOS = {
 
 
 def run(config, out_dir=None):
-    """Execute one scenario and write CSV + JSON into the output directory."""
+    """Execute one scenario and write CSV + JSON into the output directory.
+    When the scenario raises, the directories this call created are removed
+    again as long as they are empty."""
     t_start = time.time()
     out = Path(out_dir if out_dir is not None else config.out)
+    created = [p for p in (out, *out.parents) if not p.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     stem = f"{config.scenario}_{stamp}"
@@ -416,7 +419,14 @@ def run(config, out_dir=None):
         counter += 1
         stem = f"{config.scenario}_{stamp}_{counter}"
 
-    cols, fits, extra_files = SCENARIOS[config.scenario](config, out, stem)
+    try:
+        cols, fits, extra_files = SCENARIOS[config.scenario](config, out, stem)
+    except BaseException:
+        for p in created:
+            if any(p.iterdir()):
+                break
+            p.rmdir()
+        raise
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     write_csv(csv_path, cols)

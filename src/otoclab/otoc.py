@@ -13,8 +13,10 @@ block-diagonal pattern for one kick, so the first kick is an O(N^3) write
 onto that pattern and the second one N^5 gemm pass, each after one O(N^4)
 count of A's nonzeros; from the third on a step is two blocked passes of
 2 N^5 through a scratch of at most KICK_SCRATCH_BYTES, with the diagonal
-interaction applied inside their products.  It holds one operator of memory
-plus that scratch and an N^3 factor stack.
+interaction applied inside their products.  When B = I x O with a diagonal
+O, as for the cosine pair and the RMT model, U1 x I and the interaction
+commute with B, so the last of those kicks applies only I x U2, 2 N^5.  It
+holds one operator of memory plus that scratch and an N^3 factor stack.
 Its traces take one O(N^4) pass: for B = I x O or O x I, O = V diag(lam)
 V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
 row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
@@ -190,8 +192,16 @@ def kicked_c2_c4(A0, B0, kicks):
     N = 64.  An A0 on subsystem 2 is mirrored once, which leaves C2 and C4
     unchanged: A0 to subsystem 1, B0 to the other side, each kick to
     (U2, U1, d^T) with d as (N, N).  The kicks then take the routes of
-    ``kron_conjugate`` from A(0) = O x I.  Returns two arrays for t = 0 ..
-    number of kicks.  Every kick checks that ||A(t)||_F stays at ||A(0)||_F.
+    ``kron_conjugate`` from A(0) = O x I.  ``kicks`` is read one kick ahead,
+    which leaves the order in which a generator draws its kicks unchanged.
+    When B0 is then a diagonal factor on subsystem 2, the last kick asks
+    ``kron_conjugate`` for its inner-only route, (I x U2)^dag A (I x U2),
+    which leaves C2 and C4 as the full kick would, since U1 x I and D
+    commute with B0; the A left behind is not A(T).  Returns two arrays for
+    t = 0 .. number of kicks.  Every kick checks that ||A(t)||_F stays at
+    ||A(0)||_F; on an inner-only last kick that covers I x U2 alone.  The
+    rotor's U1 and D are checked by kicks 1 and 2, which never take that
+    route, and the RMT model's U1 is a Haar draw.
     """
     if A0.side == "right":
         A0 = replace(A0, side="left")
@@ -203,10 +213,19 @@ def kicked_c2_c4(A0, B0, kicks):
         lam, v = B0.diagonal.real, None
     else:  # rotate the traces into O's eigenbasis
         lam, v = np.linalg.eigh(B0.op.entries)
+    # U1 x I and D commute with B = I x diag(lam), so the traces of the last
+    # kick see only I x U2
+    inner = v is None and B0.side == "right"
     c2, c4, norm0 = _traces(A, B0.side, lam, v)
     c2s, c4s = [c2], [c4]
-    for t, (U1, U2, d) in enumerate(kicks, start=1):
-        bipartite.kron_conjugate(U1, U2, A, work, d)
+    kicks = iter(kicks)
+    kick = next(kicks, None)
+    t = 0
+    while kick is not None:
+        U1, U2, d = kick
+        kick = next(kicks, None)  # one ahead, to know the last kick
+        t += 1
+        bipartite.kron_conjugate(U1, U2, A, work, d, inner_only=inner and kick is None)
         c2, c4, norm = _traces(A, B0.side, lam, v)
         _check_norm(norm, norm0, t)
         c2s.append(c2)

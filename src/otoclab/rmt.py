@@ -124,7 +124,8 @@ def rmt_otoc_mc(spec, O1, O2):
 
     sample = partial(_sample_c2_c4, spec, A0, B0)
     # T kicks per sample, each counted as four products of N^5 complex
-    # multiply-adds, which over-counts kicks 1 and 2 (see kron_conjugate)
+    # multiply-adds, which over-counts kicks 1 and 2 and, from T = 3 on, the
+    # last kick, which takes two (see kron_conjugate)
     workers = pool_size(spec.samples, spec.samples * spec.T * 4 * spec.N**5)
     rows = map_tasks(sample, range(spec.samples), workers)
     c2, c4 = (np.array(r) for r in zip(*rows))

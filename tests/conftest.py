@@ -37,3 +37,17 @@ def general_route_calls(monkeypatch):
 
     monkeypatch.setattr(bipartite, "_two_pass_conjugate", spy)
     return calls
+
+
+@pytest.fixture
+def inner_route_calls(monkeypatch):
+    """The arguments of every call of the dense kick's inner-only route."""
+    calls = []
+    inner = bipartite._inner_conjugate
+
+    def spy(*args):
+        calls.append(args)
+        inner(*args)
+
+    monkeypatch.setattr(bipartite, "_inner_conjugate", spy)
+    return calls

@@ -270,8 +270,8 @@ class TestKickRoutes:
         "right"."""
         held, kick = [], bipartite.kron_conjugate
 
-        def spy(U1, U2, A, work, d):
-            kick(U1, U2, A, work, d)
+        def spy(U1, U2, A, work, d, **kw):
+            kick(U1, U2, A, work, d, **kw)
             held.append(A.copy())
 
         monkeypatch.setattr(bipartite, "kron_conjugate", spy)
@@ -306,6 +306,50 @@ class TestKickRoutes:
         (A,) = self._held_operators(monkeypatch, side, n, kicks)
         assert not A[_off_pattern("left", n)].any()
         assert A[~_off_pattern("left", n)].any()
+
+
+class TestInnerOnly:
+    """kron_conjugate(..., inner_only=True): (I x U2)^dag A (I x U2) on the
+    general route; the product and block routes ignore the keyword."""
+
+    @pytest.mark.parametrize("work", ["n3", "operator"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_kron(self, n, work, general_route_calls, inner_route_calls):
+        rng = np.random.default_rng(20 + n)
+        U1, U2, d = sample_cue(n, rng), sample_cue(n, rng), _unimodular(rng, n * n)
+        A = _hermitian(rng, n * n)
+        K = np.kron(np.eye(n), U2)
+        want = K.conj().T @ A @ K
+        size = {"n3": n**3, "operator": n**4}[work]
+        bipartite.kron_conjugate(U1, U2, A, np.full(size, np.nan, complex), d, inner_only=True)
+        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+        assert (len(general_route_calls), len(inner_route_calls)) == (0, 1)
+
+    @pytest.mark.parametrize("route", ["product", "block"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_structured_routes_ignore_the_keyword(self, n, route, inner_route_calls):
+        rng = np.random.default_rng(30 + n)
+        U1, U2, d = sample_cue(n, rng), sample_cue(n, rng), _unimodular(rng, n * n)
+        X = _hermitian(rng, n)
+        blocks = [X] * n if route == "product" else [_hermitian(rng, n) for _ in range(n)]
+        A = _pattern("left", blocks).astype(complex)
+        full = A.copy()
+        bipartite.kron_conjugate(U1, U2, full, np.empty(n**4, complex), d)
+        bipartite.kron_conjugate(U1, U2, A, np.empty(n**4, complex), d, inner_only=True)
+        assert np.array_equal(A, full)
+        assert not inner_route_calls
+
+    def test_scratch_below_n_cubed_raises(self):
+        rng = np.random.default_rng(9)
+        n = 4
+        A = _random_complex(rng, n * n, n * n)
+        U = sample_cue(n, rng)
+        before = A.copy()
+        with pytest.raises(ValueError, match="below N\\^3"):
+            bipartite.kron_conjugate(
+                U, U, A, np.empty(n**3 - 1, complex), _unimodular(rng, n * n), inner_only=True
+            )
+        assert np.array_equal(A, before)
 
 
 def test_diag_conjugate():

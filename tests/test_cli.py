@@ -375,6 +375,20 @@ class TestMain:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert target.read_text() == ""
 
+    def test_refused_run_removes_the_directory_it_made(self, tmp_path, capsys):
+        # the Husimi frame at N = 400 is over the budget
+        out = tmp_path / "new" / "runs"
+        assert main(_argv("husimi", out, ["N=400"])) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_refused_run_keeps_an_existing_directory(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        out.mkdir()
+        assert main(_argv("husimi", out, ["N=400"])) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.is_dir() and not any(out.iterdir())
+
     def test_config_error(self, capsys):
         rc = main(["--set", "N=not_a_number"])
         assert rc == 1

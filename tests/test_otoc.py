@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otoclab import operators, otoc
+from otoclab import operators, otoc, rmt
 from otoclab.bipartite import apply_local, kron_conjugate
 from otoclab.kicked_rotor import apply_floquet, coupled_floquet
 from otoclab.operators import (
@@ -30,6 +30,7 @@ from otoclab.otoc import (
     otoc_series_stochastic,
     saturation_value,
 )
+from otoclab.parallel import task_rng
 from otoclab.rmt import RmtEnsembleSpec, rmt_otoc_mc
 
 
@@ -197,13 +198,71 @@ class TestMirror:
         assert np.array_equal(right.c4, left.c4)
 
     @pytest.mark.parametrize("a_side", ["left", "right"])
-    def test_first_two_kicks_skip_the_general_route(self, a_side, general_route_calls):
+    def test_first_two_kicks_skip_the_general_route(
+        self, a_side, general_route_calls, inner_route_calls
+    ):
         N = 6
         F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=1.5 / N))
         o = cosine_observable(N, 0.35)
         b_side = "right" if a_side == "left" else "left"
         otoc_series_dense(F, embed(o, a_side, N), embed(o, b_side, N), T=6)
-        assert len(general_route_calls) == 4  # kicks 3 to 6
+        assert len(general_route_calls) == 3  # kicks 3 to 5
+        assert len(inner_route_calls) == 1  # kick 6
+
+
+class TestLastKickInnerRoute:
+    """The last kick applies only I x U2 when B0 is a diagonal factor on
+    subsystem 2 after the mirror; the traces cannot tell."""
+
+    @pytest.mark.parametrize("a_side", ["left", "right"])
+    @pytest.mark.parametrize("Nb", [0.0, 2.0])
+    @pytest.mark.parametrize("T", [1, 2, 3, 5])
+    @pytest.mark.parametrize("N", [6, 9, 12])
+    def test_cosine_pair_matches_brute_force(self, N, T, Nb, a_side):
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=Nb / N))
+        o = cosine_observable(N, 0.35)
+        b_side = "right" if a_side == "left" else "left"
+        A0, B0 = embed(o, a_side, N), embed(o, b_side, N)
+        series = otoc_series_dense(F, A0, B0, T=T)
+        c2, c4 = _brute_force_series(F, A0.dense(), B0.dense(), T)
+        assert np.abs(series.c2 - c2).max() <= 1e-12 * series.c_infinity
+        assert np.abs(series.c4 - c4).max() <= 1e-12 * series.c_infinity
+
+    def test_rmt_realization_matches_brute_force(self, inner_route_calls):
+        N = 6
+        spec = RmtEnsembleSpec(N=N, epsilon=0.3, T=4, samples=1, rng_seed=5)
+        o = cosine_observable(N, 0.35)
+        A0, B0 = embed(o, "left", N), embed(o, "right", N)
+        c2, c4 = rmt._sample_c2_c4(spec, A0, B0, 0)
+        assert len(inner_route_calls) == 1
+        A, B = A0.dense(), B0.dense()
+        want = [(np.trace(A @ A @ B @ B).real, np.trace(A @ B @ A @ B).real)]
+        for U1, U2, d in rmt._sampled_kicks(spec, task_rng(spec.rng_seed, 0)):
+            U = np.kron(U1, U2) * d
+            A = U.conj().T @ A @ U
+            want.append((np.trace(A @ A @ B @ B).real, np.trace(A @ B @ A @ B).real))
+        want = np.array(want)
+        c_inf = saturation_value(o, o)
+        assert np.abs(c2 - want[:, 0]).max() <= 1e-12 * c_inf
+        assert np.abs(c4 - want[:, 1]).max() <= 1e-12 * c_inf
+
+    @pytest.mark.parametrize("a_side", ["left", "right"])
+    @pytest.mark.parametrize("pair", ["gue_b", "same_subsystem"])
+    def test_other_pairs_keep_the_full_last_kick(
+        self, pair, a_side, general_route_calls, inner_route_calls
+    ):
+        # D does not commute with a non-diagonal B, and a B on subsystem 1
+        # does not commute with U1 x I
+        N, T = 6, 5
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
+        other = "right" if a_side == "left" else "left"
+        if pair == "gue_b":
+            B0 = embed(gue_observable(N, 9), other, N)
+        else:
+            B0 = embed(cosine_observable(N, 0.35), a_side, N)
+        otoc_series_dense(F, embed(cosine_observable(N, 0.35), a_side, N), B0, T=T)
+        assert len(general_route_calls) == T - 2
+        assert not inner_route_calls
 
 
 class TestTwoBuffers:
@@ -226,19 +285,21 @@ class TestTwoBuffers:
 
     def test_series_holds_one_operator_and_scratch(self):
         # from N = 39 on the kick's scratch is a fixed KICK_SCRATCH_BYTES, less
-        # than an operator; the traces add 1/N of one
+        # than an operator; the traces add 1/N of one.  T = 3 ends on the
+        # inner-only kick
         N = 48
         F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=2 / N))
         o = cosine_observable(N, 0.35)
         A0, B0 = embed(o, "left", N), embed(o, "right", N)
-        tracemalloc.start()
-        try:
-            otoc_series_dense(F, A0, B0, T=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         op_bytes = 16 * N**4
-        assert peak <= op_bytes + KICK_SCRATCH_BYTES + 0.1 * op_bytes
+        for T in (2, 3):
+            tracemalloc.start()
+            try:
+                otoc_series_dense(F, A0, B0, T=T)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= op_bytes + KICK_SCRATCH_BYTES + 0.1 * op_bytes, T
 
 
 class TestKickInvariants:
