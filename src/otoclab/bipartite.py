@@ -11,17 +11,19 @@ side, "left" for subsystem 1 and "right" for subsystem 2; on a block,
 one elementwise product.  All routines here cost O(N^3)..O(N^5) instead of the
 naive O(N^4)..O(N^6), and every product runs on BLAS-able (batched,
 possibly strided) matrices, so no step copies a transposed operator.  The
-dense kick, Kronecker factors and diagonal interaction phase together,
-runs in place in A and picks its route from A's exact zero pattern, in one
-orientation, with A(0) on subsystem 1: an O(N^3) write for A = X x I, one
-N^5 gemm pass for A = sum_i X_i x |i><i| (the second kick of a local
-observable), and otherwise 4 N^5 in blocks of rows and then of columns
-through a caller's scratch, which may be a fraction of an operator.  The
-phase rides in per-index copies of a factor, N^3 entries, so no route
-allocates anything of operator size or makes an elementwise pass over A.
-On request the last route applies I x U2 alone, 2 N^5 as two gemms per
-row block of A through N^3 entries of the scratch: all that a trace
-against I x O with a diagonal O sees of the kick.
+dense kick, Kronecker factors and diagonal interaction phase together, runs
+in one orientation, with A(0) on subsystem 1, and its route follows A's
+representation, never its zero pattern.  A = sum_i X_i x |i><i| is held as the
+(N, N, N) stack of the X_i: with all X_i equal (A = X x I) the kick is an
+O(N^3) write of the kicked stack into a caller's scratch, and otherwise one
+N^5 gemm pass that writes the dense operator once.  A dense N^2 x N^2 A is
+kicked in place, 4 N^5 in blocks of rows and then of columns through the
+scratch, which may be a fraction of an operator.  The phase rides in
+per-index copies of a factor, N^3 entries, so no route makes an
+elementwise pass over A or allocates anything of operator size beyond the
+operator the block route writes.  On request the dense route applies I x U2
+alone, 2 N^5 as two gemms per row block of A through N^3 entries of the
+scratch: all that a trace against I x O with a diagonal O sees of the kick.
 """
 
 import numpy as np
@@ -88,98 +90,107 @@ def right_multiply_embedded(X, U, side):
 
 
 def kron_conjugate(U1, U2, A, work, d, inner_only=False):
-    """A <- D^dag (U1 x U2)^dag A (U1 x U2) D in place, for diagonal D with
-    entries d, without forming the Kronecker product or D.  The route
-    follows A's exact zero pattern:
+    """The kicked A, D^dag (U1 x U2)^dag A (U1 x U2) D for diagonal D with
+    entries d, without forming the Kronecker product or D.  A comes in one
+    of two representations, and the route follows the representation, not
+    A's zero pattern:
 
-    - A = sum_i X_i x |i><i| is exactly zero wherever the subsystem-2 row
-      and column index differ.  One sentinel entry, A[0, 1], rules that out
-      for a dense A in one comparison; otherwise one ``np.count_nonzero``
-      pass over A, N^4 reads, decides it.  A diagonal A has the pattern.
-      Callers put a local A(0) on subsystem 1 (``otoc.kicked_c2_c4``
-      mirrors one on subsystem 2), so an A = sum_i |i><i| x X_i without
-      this pattern takes the general route.
+    - A stack: an (N, N, N) array X stands for A = sum_i X_i x |i><i|, the
+      form of a local A(0) = O x I (all X_i equal, O) and of its first kick.
+      Callers put a local A(0) on subsystem 1 (``otoc.kicked_c2_c4`` mirrors
+      one on subsystem 2).  A stack needs N^3 entries of ``work`` and
+      ignores ``inner_only``.
     - Product route: if every X_i is the same X, so A = X x I, the kick is
-      D^dag ((U1^dag X U1) x I) D, written onto the pattern alone in
-      O(N^3); A stays exactly zero off it.  This takes U2^dag U2 as the
-      identity, so it needs a unitary U2.
-    - Block route: otherwise Y_i = U1^dag X_i U1, and all of A is one
-      (N, N) @ (N, N^2) gemm per outer row index j, N^5 multiply-adds in
-      all: sum_i [D^dag (Y_i x U2^dag |i><i| U2) D] restricted to j, with
-      both phases of D folded into the two factors.
-    - General route, two blocked passes of 2 N^5 each: the row pass takes
-      w contiguous rows at a time to A (U1 x U2) D, U1 on the outer column
+      D^dag ((U1^dag X U1) x I) D, again a stack, written into the first
+      N^3 entries of ``work`` in O(N^3) and returned.  This takes U2^dag U2
+      as the identity, so it needs a unitary U2.  It is the first kick of a
+      local A(0), and every kick at b = 0.
+    - Block route: any other stack.  Y_i = U1^dag X_i U1, and the kicked A
+      is one (N, N) @ (N, N^2) gemm per outer row index j, N^5 multiply-adds
+      in all: sum_i [D^dag (Y_i x U2^dag |i><i| U2) D] restricted to j, with
+      both phases of D folded into the two factors.  It writes the dense
+      N^2 x N^2 operator once, into a fresh unfilled array, and returns it.
+      The Y_i take the first N^3 entries of ``work``, which may hold X
+      itself, and the gemm operand the next N^3 when ``work`` holds 2 N^3
+      entries (always, within the dense budget's N <= 90, at the kick's
+      scratch of min(N^4, 2^21) entries), else a fresh array; one N^3
+      factor stack of U2 and d is formed, as the general route does.
+    - A dense dim x dim A is kicked in place and returned, on the general
+      route, two blocked passes of 2 N^5 each: the row pass takes w
+      contiguous rows at a time to A (U1 x U2) D, U1 on the outer column
       index into ``work``, then, batched over the outer index b1,
       U2 diag(d[b1, :]) on the inner one back into A.  The column pass
       takes w columns at a time, as a strided view of A, to
       ((U1 x U2) D)^dag A: U1^dag on the outer row index, then
-      diag(d[b1, :])^dag U2^dag on the inner one.  D rides in those N
-      factors, a stack of N^3 entries per pass, so no pass over A applies
-      it; one stack is alive at a time.
-    - Inner-only route: with ``inner_only``, the general route instead
-      takes A to (I x U2)^dag A (I x U2), and U1 and D are not applied.
-      That is the kick a trace against B = I x O sees when O is diagonal,
-      since U1 x I and D commute with such a B; ``otoc.kicked_c2_c4`` asks
-      for it on the last kick.  Per outer row index a1, A's contiguous
-      N x N^2 row block takes U2^dag from the left into ``work``, then U2
-      from the right back into A: 2 N^5, in gemm panels at most 8 N wide,
-      with no factor stack.  It needs N^3 entries of ``work``.  The product
-      and block routes ignore ``inner_only``.
+      diag(d[b1, :])^dag U2^dag on the inner one; when ``work`` holds the
+      whole operator, U1^dag is one (N, N) @ (N, N^3) gemm.  D rides in
+      those N factors, a stack of N^3 entries per pass, so no pass over A
+      applies it; one stack is alive at a time.  The block width is
+      w = min(dim, work.size // dim); ``work`` needs at least dim entries.
+    - Inner-only route: with ``inner_only``, a dense A is instead taken to
+      (I x U2)^dag A (I x U2), and U1 and D are not applied.  That is the
+      kick a trace against B = I x O sees when O is diagonal, since U1 x I
+      and D commute with such a B; ``otoc.kicked_c2_c4`` asks for it on the
+      last kick.  Per outer row index a1, A's contiguous N x N^2 row block
+      takes U2^dag from the left into ``work``, then U2 from the right back
+      into A: 2 N^5, in gemm panels at most 8 N wide, with no factor stack.
+      It needs N^3 entries of ``work``.
 
     Every product is a matmul on BLAS-able operands, so nothing of operator
-    size is copied.  The block width is w = min(dim, work.size // dim);
-    ``work`` needs at least dim entries, and its contents are overwritten.
-    The block route keeps two N^3 stacks, the Y_i and one gemm operand, in
-    ``work`` when it holds 2 N^3 entries (up to N = 90 at the kick's
-    scratch of min(N^4, 2^21) entries), else in fresh arrays, and forms one
-    N^3 factor stack of U2 and d, as the general route does.
+    size is copied, and no route reads A's zero pattern.  ``work``'s
+    contents are overwritten, and so are A's.
     """
-    dim = A.shape[0]
-    n = split_dim(dim)
-    if work.size < dim:
-        raise ValueError(f"scratch of {work.size} entries is below dim = {dim}")
-    if inner_only and work.size < n**3:
-        raise ValueError(f"scratch of {work.size} entries is below N^3 = {n**3}")
+    stack = A.ndim == 3
+    n = A.shape[0] if stack else split_dim(A.shape[0])
+    need = n**3 if stack or inner_only else n * n
+    if work.size < need:
+        name = "N^3" if stack or inner_only else "dim"
+        raise ValueError(f"scratch of {work.size} entries is below {name} = {need}")
     d = d.reshape(n, n)
-    # X[i] = X_i, a writable view of A's entries with equal subsystem-2 indices
-    X = np.einsum("aibi->iab", A.reshape(n, n, n, n))
-    if A[0, 1] or np.count_nonzero(X) != np.count_nonzero(A):
+    if not stack:
         if inner_only:
             _inner_conjugate(U2, A, work)
         else:
             _two_pass_conjugate(U1, U2, A, work, d)
-    elif all(np.array_equal(Xi, X[0]) for Xi in X[1:]):
-        _product_conjugate(U1, X, d)
-    else:
-        _block_conjugate(U1, U2, A, work, d, X)
+        return A
+    if all(np.array_equal(Xi, A[0]) for Xi in A[1:]):
+        return _product_conjugate(U1, A[0], work, d)
+    return _block_conjugate(U1, U2, A, work, d)
 
 
-def _product_conjugate(U1, X, d):
-    """The product route: X[i] <- U1^dag X[0] U1 with D's phases for
-    index i."""
-    Y = U1.conj().T @ X[0] @ U1
-    # X[i] sits at (a, i, b, i), where D contributes conj(d[a, i]) d[b, i]
-    for Xi, phase in zip(X, d.T):
+def _product_conjugate(U1, X, work, d):
+    """The product route: the stack of U1^dag X U1 with D's phases for
+    index i, in the first N^3 entries of ``work``."""
+    n = len(X)
+    Y = U1.conj().T @ X @ U1
+    out = work.reshape(-1)[:n**3].reshape(n, n, n)
+    # X_i sits at (a, i, b, i), where D contributes conj(d[a, i]) d[b, i]
+    for Xi, phase in zip(out, d.T):
         np.multiply(phase.conj()[:, None] * Y, phase, out=Xi)
+    return out
 
 
-def _block_conjugate(U1, U2, A, work, d, X):
+def _block_conjugate(U1, U2, X, work, d):
     """The block route: Y_i = U1^dag X_i U1, then one gemm per outer row
-    index j writes A's rows (j, a2)."""
-    n, dim = d.shape[0], A.shape[0]
-    if work.size >= 2 * n**3:
-        Y, G = work.reshape(-1)[:2 * n**3].reshape(2, n, n, n)
+    index j writes the rows (j, a2) of a fresh operator."""
+    n = len(X)
+    dim = n * n
+    buf = work.reshape(-1)
+    Y = buf[:n**3].reshape(n, n, n)
+    if buf.size >= 2 * n**3:
+        G = buf[n**3:2 * n**3].reshape(n, n, n)
     else:
-        Y, G = np.empty((2, n, n, n), complex)
-    np.copyto(Y, X)
-    np.matmul(U1.conj().T, Y, out=G)
+        G = np.empty((n, n, n), complex)
+    np.matmul(U1.conj().T, X, out=G)  # X is read in full before Y is written
     np.matmul(G, U1, out=Y)
     Q = np.einsum("ik,jk->ijk", U2, d)  # Q[i, b1, b2] = U2[i, b2] d[b1, b2]
     U2h = U2.conj().T
+    A = np.empty((dim, dim), complex)
     rows = A.reshape(n, n, dim)
     for j in range(n):  # conj(d[j, a2]) U2^dag against Y_i[j, b1] Q[i]
         np.multiply(Y[:, j, :, None], Q, out=G)
         np.matmul(d[j].conj()[:, None] * U2h, G.reshape(n, dim), out=rows[j])
+    return A
 
 
 def _two_pass_conjugate(U1, U2, A, work, d):
@@ -198,6 +209,11 @@ def _two_pass_conjugate(U1, U2, A, work, d):
     del U2d
     U1h = U1.conj().T
     U2hd = np.einsum("ia,ba->iab", d.conj(), U2.conj())  # diag(d[b1, :])^dag U2^dag
+    if w == dim:  # U1^dag as one 2-D gemm, into S laid out (c1, a2, column)
+        S = buf[:A.size].reshape(n, n, dim)
+        np.matmul(U1h, A.reshape(n, -1), out=S.reshape(n, -1))
+        np.matmul(U2hd, S, out=A.reshape(n, n, dim))
+        return
     for c in range(0, dim, w):
         X = A[:, c:c + w].reshape(n, n, -1)
         S = buf[:X.size].reshape(X.shape)

@@ -4,8 +4,10 @@ Everything works in the discrete position basis ``n = 0..N-1``. The momentum
 translation ``T_p`` is diagonal here, the position translation ``T_q`` is the
 cyclic shift, and the standard local observable is ``(T_p + T_p^dag)/2``,
 i.e. a diagonal cosine. Product-space observables ``O x I`` and ``I x O``
-are kept as their N x N factor (:func:`embed`); only :meth:`Embedded.dense`
-builds the N^2 x N^2 matrix, for the dense path's initial A(0).
+are kept as their N x N factor (:func:`embed`).  The dense path never builds
+A(0): it starts from the factor's stack (:func:`otoclab.otoc.kicked_c2_c4`).
+Only :meth:`Embedded.dense` builds the N^2 x N^2 matrix, the brute-force
+oracle of the tests.
 """
 
 from dataclasses import dataclass
@@ -187,7 +189,8 @@ class Embedded:
     def dense(self):
         """The dim x dim Kronecker product, checked against the budget: the
         factor written into zeros once per index i of the identity, through
-        the strided view of the (op, identity) index pairs at (i, i)."""
+        the strided view of the (op, identity) index pairs at (i, i).  The
+        tests' brute-force oracle; the package itself never builds it."""
         check_budget(self.dim)
         m, k = self.op.dim, self.n_other
         out = np.zeros((self.dim, self.dim), complex)

@@ -4,29 +4,32 @@ C(t) = C2(t) - C4(t) with C2 = Tr[A(t)^2 B^2] and C4 = Tr[A(t) B A(t) B];
 A evolves in the Heisenberg picture, one kick per step.  For Hermitian A(t)
 and B every path evaluates C2 = ||A(t) B S||_F^2 and C = ||[A(t), B] S||_F^2
 / 2, so C >= 0 by construction, and C4 = C2 - C.  The dense path takes S = I
-and conjugates the full product-space A in place, through the Kronecker
-structure of the propagator, in one call of
+and kicks A through the Kronecker structure of the propagator, in one call of
 :func:`otoclab.bipartite.kron_conjugate` per step.  The OTOC is unchanged
 when the subsystems swap, so an A(0) on subsystem 2 is mirrored once onto
-subsystem 1.  The local A(0) = O x I stays exactly zero off its
-block-diagonal pattern for one kick, so the first kick is an O(N^3) write
-onto that pattern and the second one N^5 gemm pass, each after one O(N^4)
-count of A's nonzeros; from the third on a step is two blocked passes of
-2 N^5 through a scratch of at most KICK_SCRATCH_BYTES, with the diagonal
+subsystem 1.  A(0) = O x I is never built: the series holds A(t) =
+sum_i X_i x |i><i| as the (N, N, N) stack of the X_i for as long as the
+algebra guarantees that form, and the kick's route follows the
+representation.  A stack of equal X_i is kicked by an O(N^3) write into the
+kick's scratch, the first kick and every kick at b = 0; the first stack of
+distinct X_i, from the second kick on, becomes the dense operator in one
+N^5 gemm pass, and from then on a step is two blocked passes of 2 N^5
+through a scratch of at most KICK_SCRATCH_BYTES, with the diagonal
 interaction applied inside their products.  When B = I x O with a diagonal
 O, as for the cosine pair and the RMT model, U1 x I and the interaction
 commute with B, so the last of those kicks applies only I x U2, 2 N^5.  It
-holds one operator of memory plus that scratch and an N^3 factor stack.
-Its traces take one O(N^4) pass: for B = I x O or O x I, O = V diag(lam)
-V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the other subsystem's
-row and column index; then C2 = <W, lam_b^2>, C = <W, (lam_a - lam_b)^2> / 2
-and ||A(t)||_F^2 = sum W.  The stochastic path takes for S a block Z of
-random-phase probe vectors, E[Z Z^dag] = I, and builds no product-space
-matrix: it propagates up to PROBE_BLOCK probes at a time, each block an
-(N, k, N) array to which every Floquet and observable factor is one
-:func:`otoclab.bipartite.apply_local` on its side: one 2-D gemm, or one
-elementwise product for a diagonal observable factor, in T(T+3) O(N^3)
-Floquet applications per probe over T kicks.  Each block
+holds one operator of memory plus that scratch and an N^3 factor stack, and
+less than one operator while A(t) is a stack.  Its traces take one pass
+over A(t), O(N^4) on either form: for B = I x O or O x I,
+O = V diag(lam) V^dag, W[a, b] sums |A(t)|^2 in O's eigenbasis over the
+other subsystem's row and column index; then C2 = <W, lam_b^2>,
+C = <W, (lam_a - lam_b)^2> / 2 and ||A(t)||_F^2 = sum W.  The stochastic
+path takes for S a block Z of random-phase probe vectors, E[Z Z^dag] = I,
+and builds no product-space matrix: it propagates up to PROBE_BLOCK probes
+at a time, each block an (N, k, N) array to which every Floquet and
+observable factor is one :func:`otoclab.bipartite.apply_local` on its side:
+one 2-D gemm, or one elementwise product for a diagonal observable factor,
+in T(T+3) O(N^3) Floquet applications per probe over T kicks.  Each block
 draws its own probes when it starts, so Z is never whole: whatever the
 probe count, the series holds five blocks, 80 N^2 k bytes allocated once,
 within the budget of :func:`otoclab.operators.probe_block_width`.
@@ -45,7 +48,7 @@ from scipy.special import j0
 
 from . import bipartite
 from .kicked_rotor import apply_floquet
-from .operators import Embedded, kick_scratch_bytes, probe_block_width
+from .operators import Embedded, check_budget, kick_scratch_bytes, probe_block_width
 
 # First zero of the Bessel function J0; mu(b) diverges there.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -157,12 +160,40 @@ def _check_embedded(N, *observables):
             raise ValueError("observables must live on the product space")
 
 
-def _traces(A, side, lam, v):
-    """C2, C4 and ||A||_F from the weight matrix W of the module docstring,
-    reduced in row blocks of the other subsystem, 1/N of the operator each.
-    B0's factor, on ``side``, has eigenvalues lam and eigenvector matrix v,
-    None for a diagonal factor.  W >= 0, so C >= 0."""
-    n = len(lam)
+def _stack_weights(X, side, v):
+    """W of the module docstring for the stack A = sum_i X_i x |i><i|, in
+    O(N^4) with N^3-entry temporaries; cf. :func:`_traces`.
+
+    - B0 on subsystem 1 (``side`` "left"): W = sum_i |V^dag X_i V|^2,
+      elementwise.
+    - B0 diagonal on subsystem 2: W = diag(||X_i||^2), so C = 0 exactly;
+      the sums run in the order of the dense reduction, which C2 matches
+      bit for bit.
+    - B0 non-diagonal on subsystem 2: W[a, b] = sum_ij G_ij conj(c_i) c_j
+      with G_ij = Tr(X_i^dag X_j) and c_i = conj(V[i, a]) V[i, b].  G = R^dag R
+      for the triangular factor R of the QR decomposition of the stack's
+      (N^2, N) column matrix, so W = sum_k |sum_i R[k, i] c_i|^2 >= 0.
+    """
+    n = len(X)
+    if side == "right" and v is None:
+        acc = np.zeros((n, 2))
+        for rows in X.transpose(1, 0, 2):  # rows[i, b1] = X_i[a1, b1]
+            x = rows.view(np.float64).reshape(n, n, 2)
+            acc += np.einsum("ijk,ijk->ik", x, x)
+        return np.diag(acc[:, 0] + acc[:, 1])
+    if side == "left":
+        R = X if v is None else v.conj().T @ X @ v
+    else:
+        Rf = np.linalg.qr(X.reshape(n, n * n).T, mode="r")
+        R = (Rf[:, :, None] * v.conj()).transpose(0, 2, 1) @ v  # R[k, a, b]
+    x = R.view(np.float64).reshape(n, n, n, 2)
+    return np.einsum("iabk,iabk->ab", x, x)
+
+
+def _dense_weights(A, side, v):
+    """W of the module docstring for a dense A, reduced in row blocks of the
+    other subsystem, 1/N of the operator each; cf. :func:`_traces`."""
+    n = bipartite.split_dim(A.shape[0])
     k = 0 if side == "left" else 1  # B0's subsystem
     # one reduction per block over its float64 view (n, n, 2n): B0's row
     # index, the outer column index, and the inner one as (real, imag) pairs
@@ -176,6 +207,16 @@ def _traces(A, side, lam, v):
         W += np.einsum(subscripts, x, x)
     if k == 1:
         W = W[:, 0::2] + W[:, 1::2]
+    return W
+
+
+def _traces(A, side, lam, v):
+    """C2, C4 and ||A||_F from the weight matrix W of the module docstring,
+    for A as an (N, N, N) stack or a dense operator, the two forms that
+    :func:`otoclab.bipartite.kron_conjugate` takes.  B0's factor, on
+    ``side``, has eigenvalues lam and eigenvector matrix v, None for a
+    diagonal factor.  W >= 0, so C >= 0."""
+    W = _stack_weights(A, side, v) if A.ndim == 3 else _dense_weights(A, side, v)
     c2 = float(bipartite.trace_product(W, np.broadcast_to(lam**2, W.shape)))
     c = 0.5 * float(bipartite.trace_product(W, (lam[:, None] - lam) ** 2))
     return c2, c2 - c, math.sqrt(W.sum())
@@ -186,28 +227,35 @@ def kicked_c2_c4(A0, B0, kicks):
 
     ``kicks`` yields one ``(U1, U2, d)`` per step; a step takes A to
     D^dag (U1 x U2)^dag A (U1 x U2) D with D = diag(d) in one
-    :func:`otoclab.bipartite.kron_conjugate`, in place in A(0) =
-    ``A0.dense()``, through a flat scratch of min(16 dim^2,
-    KICK_SCRATCH_BYTES) bytes: the whole operator up to N = 32, 1/8 of it at
-    N = 64.  An A0 on subsystem 2 is mirrored once, which leaves C2 and C4
-    unchanged: A0 to subsystem 1, B0 to the other side, each kick to
-    (U2, U1, d^T) with d as (N, N).  The kicks then take the routes of
-    ``kron_conjugate`` from A(0) = O x I.  ``kicks`` is read one kick ahead,
-    which leaves the order in which a generator draws its kicks unchanged.
-    When B0 is then a diagonal factor on subsystem 2, the last kick asks
+    :func:`otoclab.bipartite.kron_conjugate`.  The dense dimension is
+    checked against the budget first.  An A0 on subsystem 2 is mirrored
+    once, which leaves C2 and C4 unchanged: A0 to subsystem 1, B0 to the
+    other side, each kick to (U2, U1, d^T) with d as (N, N).  A(0) = O x I
+    is never built: the series starts from the unwritten broadcast (N, N, N)
+    stack of O and holds A(t) as a stack for as long as ``kron_conjugate``
+    returns one, inside its flat scratch of min(16 dim^2,
+    KICK_SCRATCH_BYTES) bytes (the whole operator up to N = 32, 1/8 of it
+    at N = 64): after kick 1, and after every kick at b = 0.  The first
+    kick of a stack with distinct X_i returns the dense A(t), which later
+    kicks update in place.  ``kicks`` is read one kick ahead, which leaves
+    the order in which a generator draws its kicks unchanged.  When B0 is
+    then a diagonal factor on subsystem 2, the last kick asks
     ``kron_conjugate`` for its inner-only route, (I x U2)^dag A (I x U2),
     which leaves C2 and C4 as the full kick would, since U1 x I and D
-    commute with B0; the A left behind is not A(T).  Returns two arrays for
-    t = 0 .. number of kicks.  Every kick checks that ||A(t)||_F stays at
-    ||A(0)||_F; on an inner-only last kick that covers I x U2 alone.  The
-    rotor's U1 and D are checked by kicks 1 and 2, which never take that
-    route, and the RMT model's U1 is a Haar draw.
+    commute with B0; a dense A left behind is not A(T), and a stack ignores
+    the request.  Returns two arrays for t = 0 .. number of kicks.  Every
+    kick checks that ||A(t)||_F stays at ||A(0)||_F; on an inner-only last
+    kick that covers I x U2 alone.  The rotor's U1 and D are checked by
+    kicks 1 and 2, which never take that route, and the RMT model's U1 is a
+    Haar draw.
     """
+    check_budget(A0.dim)
     if A0.side == "right":
         A0 = replace(A0, side="left")
         B0 = replace(B0, side="left" if B0.side == "right" else "right")
         kicks = ((U2, U1, d.reshape(len(U1), -1).T.ravel()) for U1, U2, d in kicks)
-    A = A0.dense()
+    n = A0.op.dim
+    A = np.broadcast_to(A0.op.entries, (n, n, n))
     work = np.empty(kick_scratch_bytes(A0.dim) // 16, complex)
     if B0.diagonal is not None:
         lam, v = B0.diagonal.real, None
@@ -225,7 +273,7 @@ def kicked_c2_c4(A0, B0, kicks):
         U1, U2, d = kick
         kick = next(kicks, None)  # one ahead, to know the last kick
         t += 1
-        bipartite.kron_conjugate(U1, U2, A, work, d, inner_only=inner and kick is None)
+        A = bipartite.kron_conjugate(U1, U2, A, work, d, inner_only=inner and kick is None)
         c2, c4, norm = _traces(A, B0.side, lam, v)
         _check_norm(norm, norm0, t)
         c2s.append(c2)
@@ -236,9 +284,10 @@ def kicked_c2_c4(A0, B0, kicks):
 def otoc_series_dense(F, A0, B0, T, meta=None):
     """Exact-trace OTOC series for Hermitian observables A0, B0.
 
-    Both come from :func:`otoclab.operators.embed`.  A(t) is the one dense
-    N^2 x N^2 matrix; with the kick's scratch of at most KICK_SCRATCH_BYTES
-    it is within the budget.  The traces use B0's local factor.
+    Both come from :func:`otoclab.operators.embed`.  A(t) is a stack of
+    N^3 entries or, from its second coupled kick on, the one dense N^2 x N^2
+    matrix; with the kick's scratch of at most KICK_SCRATCH_BYTES it is
+    within the budget.  The traces use B0's local factor.
     """
     _check_embedded(F.N, A0, B0)
     c_inf = saturation_value(A0.op, B0.op)

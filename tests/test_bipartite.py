@@ -218,7 +218,8 @@ def _kicked(U1, U2, d, A):
 
 class TestKickRoutes:
     """kron_conjugate's product and block routes against np.kron, for the
-    unitary factors every kick passes it."""
+    unitary factors every kick passes it.  A stack X of shape (N, N, N)
+    stands for sum_i X_i x |i><i| (``_pattern("left", X)``)."""
 
     @staticmethod
     def _kick(n, seed):
@@ -233,24 +234,39 @@ class TestKickRoutes:
         X = np.diag(rng.standard_normal(n)) if factor == "diagonal" else _hermitian(rng, n)
         A = _pattern(side, [X] * n).astype(complex)
         want = _kicked(U1, U2, d, A)
-        bipartite.kron_conjugate(U1, U2, A, np.full(n * n, np.nan, complex), d)
-        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
-        # the fast routes take X x I; I x X has that pattern only for a
-        # diagonal X, and otherwise takes the general route
-        assert len(general_route_calls) == (side == "right" and factor == "gue")
+        # X x I is the stack of n equal X and stays one; I x X is dense, and
+        # a dense A takes the general route whatever its zero pattern
+        arg = np.broadcast_to(X.astype(complex), (n, n, n)) if side == "left" else A
+        got = bipartite.kron_conjugate(U1, U2, arg, np.full(n**3, np.nan, complex), d)
+        assert got.shape == ((n, n, n) if side == "left" else A.shape)
         if side == "left":
-            assert not A[_off_pattern(side, n)].any()
+            got = _pattern("left", got)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(general_route_calls) == (side == "right")
 
-    @pytest.mark.parametrize("work", ["dim", "two_stacks", "operator"])
+    @pytest.mark.parametrize("work", ["dim", "two_stacks", "operator", "holds_the_stack"])
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_block_diagonal(self, n, side, work, general_route_calls):
         rng, U1, U2, d = self._kick(n, 10 * n + 1)
-        A = _pattern(side, [_hermitian(rng, n) for _ in range(n)])
+        blocks = np.array([_hermitian(rng, n) for _ in range(n)], complex)
+        A = _pattern(side, blocks)
         want = _kicked(U1, U2, d, A)
-        size = {"dim": n * n, "two_stacks": 2 * n**3, "operator": n**4}[work]
-        bipartite.kron_conjugate(U1, U2, A, np.full(size, np.nan, complex), d)
-        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+        # "dim": the least scratch each form takes, dim entries for a dense A
+        # and N^3 for a stack
+        least = n**3 if side == "left" else n * n
+        size = {"dim": least, "two_stacks": 2 * n**3, "operator": n**4,
+                "holds_the_stack": 2 * n**3}[work]
+        scratch = np.full(size, np.nan, complex)
+        arg = A
+        if side == "left":  # the stack, or for "holds_the_stack" its copy at the start of work
+            arg = blocks
+            if work == "holds_the_stack":
+                arg = scratch[:n**3].reshape(n, n, n)
+                arg[:] = blocks
+        got = bipartite.kron_conjugate(U1, U2, arg, scratch, d)
+        assert got.shape == A.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert len(general_route_calls) == (side == "right")
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -265,14 +281,15 @@ class TestKickRoutes:
 
     @staticmethod
     def _held_operators(monkeypatch, side, n, kicks):
-        """A(t) after each kick of a series of the cosine A(0) on ``side``,
-        as kicked_c2_c4 holds it: mirrored onto subsystem 1 for side
-        "right"."""
+        """A(t) as each kick of a series of the cosine A(0) on ``side``
+        returns it, as kicked_c2_c4 holds it: mirrored onto subsystem 1 for
+        side "right"."""
         held, kick = [], bipartite.kron_conjugate
 
         def spy(U1, U2, A, work, d, **kw):
-            kick(U1, U2, A, work, d, **kw)
+            A = kick(U1, U2, A, work, d, **kw)
             held.append(A.copy())
+            return A
 
         monkeypatch.setattr(bipartite, "kron_conjugate", spy)
         o = cosine_observable(n, 0.35)
@@ -291,21 +308,86 @@ class TestKickRoutes:
         U = U1 if side == "left" else U2
         for A in self._held_operators(monkeypatch, side, n, kicks):
             X = U.conj().T @ X @ U
-            Xt = A.reshape(n, n, n, n)[:, 0, :, 0]
-            assert np.array_equal(A, _pattern("left", [Xt] * n))
-            assert np.abs(Xt - X).max() <= 1e-12
+            assert A.shape == (n, n, n)
+            assert np.array_equal(A, np.broadcast_to(A[0], A.shape))
+            assert np.abs(A[0] - X).max() <= 1e-12
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_coupled_kick_keeps_the_pattern_exactly(self, side, monkeypatch):
         # one kick of the local A(0) at b != 0: A(1) = D^dag ((U^dag O U) x I) D
-        # is exactly zero off the pattern, as the exponent 4(t - 1) assumes
+        # is the stack of its blocks, exactly zero off the pattern, as the
+        # exponent 4(t - 1) assumes
         n = 6
         U1 = floquet_single(n, 9.0).entries
         U2 = floquet_single(n, 10.0).entries
-        kicks = [(U1, U2, interaction_diag(n, 0.5))]
-        (A,) = self._held_operators(monkeypatch, side, n, kicks)
-        assert not A[_off_pattern("left", n)].any()
-        assert A[~_off_pattern("left", n)].any()
+        d = interaction_diag(n, 0.5)
+        (A,) = self._held_operators(monkeypatch, side, n, [(U1, U2, d)])
+        assert A.shape == (n, n, n)
+        assert A.any()
+        # the mirrored kick for side "right": U1 and U2 swap, d transposes
+        if side == "right":
+            U1, U2, d = U2, U1, d.reshape(n, n).T.ravel()
+        O = cosine_observable(n, 0.35).entries
+        want = _kicked(U1, U2, d, np.kron(O, np.eye(n)))
+        assert np.abs(_pattern("left", A) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestStackContract:
+    """The kick's route follows A's representation: a stack of equal X_i
+    stays a stack, any other stack becomes the dense operator without the
+    two-pass route, and a dense A takes the two-pass route once whatever
+    its entries.  Results against np.kron brute force."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_equal_stack_returns_a_stack_in_work(self, n, general_route_calls):
+        rng, U1, U2, d = TestKickRoutes._kick(n, 40 + n)
+        X = _hermitian(rng, n)
+        stack = np.array([X] * n)
+        before = stack.copy()
+        work = np.full(2 * n**3, np.nan, complex)
+        got = bipartite.kron_conjugate(U1, U2, stack, work, d)
+        assert got.shape == (n, n, n) and np.shares_memory(got, work)
+        assert np.array_equal(stack, before)
+        want = _kicked(U1, U2, d, np.kron(X, np.eye(n)))
+        assert np.abs(_pattern("left", got) - want).max() <= 1e-12 * np.abs(want).max()
+        assert not general_route_calls
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_distinct_stack_returns_the_operator(self, n, general_route_calls):
+        rng, U1, U2, d = TestKickRoutes._kick(n, 50 + n)
+        stack = np.array([_hermitian(rng, n) for _ in range(n)])
+        stack[1] = stack[0]  # all but one X_i equal is still a distinct stack
+        before = stack.copy()
+        work = np.full(n**4, np.nan, complex)
+        got = bipartite.kron_conjugate(U1, U2, stack, work, d)
+        assert got.shape == (n * n, n * n) and not np.shares_memory(got, work)
+        assert np.array_equal(stack, before)
+        want = _kicked(U1, U2, d, _pattern("left", stack))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert not general_route_calls
+
+    @pytest.mark.parametrize("form", ["random", "product", "blocks"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_dense_takes_the_two_pass_route_once(self, n, form, general_route_calls):
+        # the dense forms of X x I and of sum_i X_i x |i><i| included
+        rng, U1, U2, d = TestKickRoutes._kick(n, 60 + n)
+        if form == "random":
+            A = _random_complex(rng, n * n, n * n)
+        else:
+            k = 1 if form == "product" else n
+            A = _pattern("left", [_hermitian(rng, n) for _ in range(k)] * (n // k))
+        want = _kicked(U1, U2, d, A)
+        got = bipartite.kron_conjugate(U1, U2, A, np.full(n**3, np.nan, complex), d)
+        assert got is A
+        assert np.abs(A - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(general_route_calls) == 1
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_stack_needs_n_cubed_scratch(self, n):
+        rng, U1, U2, d = TestKickRoutes._kick(n, 70 + n)
+        stack = np.array([_hermitian(rng, n)] * n)
+        with pytest.raises(ValueError, match="below N\\^3"):
+            bipartite.kron_conjugate(U1, U2, stack, np.empty(n**3 - 1, complex), d)
 
 
 class TestInnerOnly:
@@ -328,16 +410,20 @@ class TestInnerOnly:
     @pytest.mark.parametrize("route", ["product", "block"])
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_structured_routes_ignore_the_keyword(self, n, route, inner_route_calls):
+        # stacks: equal X_i take the product route, distinct ones the block route
         rng = np.random.default_rng(30 + n)
         U1, U2, d = sample_cue(n, rng), sample_cue(n, rng), _unimodular(rng, n * n)
         X = _hermitian(rng, n)
         blocks = [X] * n if route == "product" else [_hermitian(rng, n) for _ in range(n)]
-        A = _pattern("left", blocks).astype(complex)
-        full = A.copy()
-        bipartite.kron_conjugate(U1, U2, full, np.empty(n**4, complex), d)
-        bipartite.kron_conjugate(U1, U2, A, np.empty(n**4, complex), d, inner_only=True)
-        assert np.array_equal(A, full)
+        A = np.array(blocks, complex)
+        full = bipartite.kron_conjugate(U1, U2, A, np.empty(n**4, complex), d).copy()
+        got = bipartite.kron_conjugate(U1, U2, A, np.empty(n**4, complex), d, inner_only=True)
+        assert np.array_equal(got, full)
         assert not inner_route_calls
+        want = _kicked(U1, U2, d, _pattern("left", blocks))
+        if route == "product":
+            full = _pattern("left", full)
+        assert np.abs(full - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_scratch_below_n_cubed_raises(self):
         rng = np.random.default_rng(9)

@@ -302,6 +302,66 @@ class TestTwoBuffers:
             assert peak <= op_bytes + KICK_SCRATCH_BYTES + 0.1 * op_bytes, T
 
 
+def _dense_of_stack(X):
+    """sum_i X_i x |i><i| built with np.kron: the dense operator that the
+    (N, N, N) stack X stands for."""
+    e = np.eye(len(X))
+    return sum(np.kron(Xi, np.outer(e[i], e[i])) for i, Xi in enumerate(X))
+
+
+class TestStackSeries:
+    """The dense series holds A(t) = sum_i X_i x |i><i| as the stack of the
+    X_i; its traces agree with those of the dense operator."""
+
+    @pytest.mark.parametrize("blocks", ["equal", "distinct"])
+    @pytest.mark.parametrize("factor", ["diagonal", "gue"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("N", [3, 5, 6])
+    def test_traces_match_the_dense_traces(self, N, side, factor, blocks):
+        rng = np.random.default_rng(N)
+        if blocks == "equal":
+            X = np.array([gue_observable(N, 1).entries] * N)
+        else:
+            X = np.array([gue_observable(N, 10 + i).entries for i in range(N)])
+            X *= rng.standard_normal(N)[:, None, None]
+        O = cosine_observable(N, 0.35) if factor == "diagonal" else gue_observable(N, 2)
+        B0 = embed(O, side, N)
+        if B0.diagonal is not None:
+            lam, v = O.entries.diagonal().real, None
+        else:
+            lam, v = np.linalg.eigh(O.entries)
+        c2, c4, norm = otoc._traces(X, side, lam, v)
+        want_c2, want_c4, want_norm = otoc._traces(_dense_of_stack(X), side, lam, v)
+        assert abs(c2 - want_c2) <= 1e-12 * want_c2
+        assert abs((c2 - c4) - (want_c2 - want_c4)) <= 1e-12 * want_c2
+        assert abs(norm - want_norm) <= 1e-12 * want_norm
+        assert c2 - c4 >= 0
+        if side == "right" and factor == "diagonal":
+            assert c2 - c4 == 0  # W is diagonal: the stack commutes with B
+
+    def test_uncoupled_series_stays_below_one_operator(self, monkeypatch):
+        # at b = 0 every kick returns a stack, held in the kick's scratch
+        N = 48
+        shapes, kick = [], kron_conjugate
+
+        def spy(*args, **kw):
+            A = kick(*args, **kw)
+            shapes.append(A.shape)
+            return A
+
+        monkeypatch.setattr(otoc.bipartite, "kron_conjugate", spy)
+        F = coupled_floquet(SystemParams(N=N, K1=9.0, K2=10.0, b=0.0))
+        o = cosine_observable(N, 0.35)
+        tracemalloc.start()
+        try:
+            otoc_series_dense(F, embed(o, "left", N), embed(o, "right", N), T=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(N, N, N)] * 4
+        assert peak < 16 * N**4
+
+
 class TestKickInvariants:
     def test_non_unitary_propagator_raises(self, small_system):
         F, A0, B0 = small_system
